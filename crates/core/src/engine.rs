@@ -43,6 +43,7 @@
 //! ```
 
 use crate::lengths::ScaledLengths;
+use omcf_numerics::NeumaierSum;
 use omcf_overlay::{EdgeEpochs, LengthView, OverlayTree, SessionSet, TreeOracle, TreeStore};
 use omcf_telemetry::stats;
 use omcf_topology::{EdgeId, Graph};
@@ -88,6 +89,48 @@ pub fn replay_edge(base: f64, rho: f64, adds: impl Iterator<Item = f64>) -> (f64
         length *= 1.0 + rho * add;
     }
     (load, length)
+}
+
+/// Relative slack of every [`DualBracket`] step: it bounds the error of a
+/// compensated sum of non-negative terms (about `3u + n·u²`, with
+/// `u = 2⁻⁵³`) and of the per-flush increment, with seven orders of
+/// magnitude to spare (see `docs/ENGINE.md`, "Gated dual objective").
+const DUAL_GAMMA: f64 = 1e-9;
+/// Per-flush widening of the bracket: covers the rounding of the new
+/// stored products `d_e·f_e` and of the bracket arithmetic itself
+/// (`≥ 8u`).
+const DUAL_KAPPA: f64 = 1e-15;
+
+/// A rigorous bracket `lo ≤ S ≤ hi` on the exact real sum
+/// `S = Σ_e c_e·d_e` of the stored lengths — what lets the engine settle
+/// dual-objective decisions without the O(E) sum. The trivial bracket
+/// `[0, ∞)` means "unknown": it is always valid, decides nothing, and
+/// costs the flush path no upkeep.
+#[derive(Clone, Copy, Debug)]
+struct DualBracket {
+    lo: f64,
+    hi: f64,
+}
+
+impl DualBracket {
+    const UNKNOWN: Self = Self { lo: 0.0, hi: f64::INFINITY };
+
+    /// Whether flushes must keep the bracket up to date.
+    fn is_known(self) -> bool {
+        self.hi < f64::INFINITY
+    }
+
+    /// Re-anchors on a fresh compensated sum of the stored products.
+    fn anchor(&mut self, sum: f64) {
+        *self = Self { lo: sum * (1.0 - DUAL_GAMMA), hi: sum * (1.0 + DUAL_GAMMA) };
+    }
+
+    /// Moves the bracket by one flush's increment `Σ c_e·d_e·(f_e − 1)`,
+    /// computed from the lengths before the flush.
+    fn grow(&mut self, delta: f64) {
+        self.lo = (self.lo + delta * (1.0 - DUAL_GAMMA)) * (1.0 - DUAL_KAPPA);
+        self.hi = (self.hi + delta * (1.0 + DUAL_GAMMA)) * (1.0 + DUAL_KAPPA);
+    }
 }
 
 /// When the engine *applies* the length growth an augmentation computes.
@@ -337,6 +380,11 @@ pub struct Engine<'a, O: TreeOracle + ?Sized> {
     pending: Vec<(u32, f64)>,
     /// Dense-sweep scratch for [`ScaledLengths::scale_edges`].
     slab: Vec<f64>,
+    /// Running bracket on the dual objective, kept by every length write
+    /// once a full sum has anchored it. It lives here, not in
+    /// [`EngineState`], so a resumed state (whose lengths a rollback may
+    /// have rewritten) always starts unknown.
+    dual: DualBracket,
     state: EngineState,
 }
 
@@ -369,6 +417,7 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
             mode: AugmentMode::process_default(),
             pending: Vec::new(),
             slab: Vec::new(),
+            dual: DualBracket::UNKNOWN,
             state,
         }
     }
@@ -395,7 +444,9 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
     /// single-augment batch — and any multi-augment batch over disjoint
     /// trees — takes the sweep path; a batch that grew the same edge
     /// twice replays pointwise in event order, preserving the exact
-    /// float-op sequence of the per-edge mode.
+    /// float-op sequence of the per-edge mode. The sweep path moves the
+    /// dual bracket by the batch's increment; the pointwise path (which
+    /// may compound factors on one edge) resets it to unknown.
     fn flush_pending(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -404,8 +455,19 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
         stats::ENGINE_FLUSH_EDGES.add(self.pending.len() as u64);
         if self.pending.windows(2).all(|w| w[0].0 < w[1].0) {
             stats::ENGINE_FLUSH_SWEEPS.inc();
+            if self.dual.is_known() {
+                let lengths = self.state.lengths.stored();
+                let delta = self
+                    .pending
+                    .iter()
+                    .map(|&(e, f)| self.g.capacity(EdgeId(e)) * lengths[e as usize] * (f - 1.0))
+                    .collect::<NeumaierSum>()
+                    .value();
+                self.dual.grow(delta);
+            }
             self.state.lengths.scale_edges(&self.pending, &mut self.slab);
         } else {
+            self.dual = DualBracket::UNKNOWN;
             for &(e, f) in &self.pending {
                 self.state.lengths.scale_edge(e as usize, f);
             }
@@ -508,6 +570,11 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
         stats::ENGINE_AUGMENT_EDGES.add(mults.len() as u64);
         self.state.store.add(tree, amount);
         let batched = matches!(self.mode, AugmentMode::Batched);
+        // Per-edge mode moves the dual bracket here, where it scales, so
+        // both modes settle the same dual decisions without a sum. The
+        // multiplicities list each edge once: this is one sweep-like step.
+        let track = !batched && self.dual.is_known();
+        let mut delta = NeumaierSum::new();
         for &(e, n) in &mults {
             let cap = self.g.capacity(e);
             // The factor is computed *now*, from state the per-edge path
@@ -529,6 +596,9 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
                 // assert moves there with it).
                 self.pending.push((e.0, factor));
             } else {
+                if track {
+                    delta.add(cap * self.state.lengths.stored()[e.idx()] * (factor - 1.0));
+                }
                 self.state.lengths.scale_edge(e.idx(), factor);
                 if matches!(self.growth, LengthGrowth::Online { .. }) {
                     assert!(
@@ -539,23 +609,68 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
             }
             self.state.epochs.touch(e.idx());
         }
+        if track {
+            self.dual.grow(delta.value());
+        }
         mults
     }
 
     /// Reports a normalized minimum tree length `α` (stored scale); the
     /// engine tracks the best weak-duality bound `min D/α` over the run.
+    /// The O(E) evaluation of `D` is skipped when the dual bracket proves
+    /// `D/α` cannot beat the bound already held; the recorded bound is
+    /// bit-identical to evaluating `D` every time.
     pub fn observe_alpha(&mut self, alpha_stored: f64) {
+        self.flush_pending();
+        let floor = self.dual.lo * (1.0 - DUAL_GAMMA) / alpha_stored * (1.0 - DUAL_GAMMA);
+        if floor >= self.state.dual_bound {
+            stats::ENGINE_DUAL_SKIPS.inc();
+            debug_assert!(
+                self.exact_dual() / alpha_stored >= self.state.dual_bound,
+                "dual bracket skipped an improving bound: {:?}",
+                self.dual
+            );
+            return;
+        }
         let bound = self.dual_objective_stored() / alpha_stored;
         if bound < self.state.dual_bound {
             self.state.dual_bound = bound;
         }
     }
 
+    /// The M2 stop test `D ≥ 1`, in stored scale: exactly
+    /// `dual_objective_stored() >= stored_one()`, but settled without the
+    /// O(E) sum while the dual bracket shows `D` is still below 1.
+    pub fn dual_reached_one(&mut self) -> bool {
+        self.flush_pending();
+        let one = self.stored_one();
+        if self.dual.hi * (1.0 + DUAL_GAMMA) < one {
+            stats::ENGINE_DUAL_SKIPS.inc();
+            debug_assert!(
+                self.exact_dual() < one,
+                "dual bracket skipped a reached stop test: {:?}",
+                self.dual
+            );
+            return false;
+        }
+        self.dual_objective_stored() >= one
+    }
+
     /// The dual objective `D = Σ_e c_e·d_e` in stored scale — compare
-    /// against [`Self::stored_one`]. A length read, hence `&mut`: it
+    /// against [`Self::stored_one`]. The engine's one exact evaluator: it
+    /// also re-anchors the dual bracket. A length read, hence `&mut`: it
     /// applies any batched updates first.
     #[must_use]
     pub fn dual_objective_stored(&mut self) -> f64 {
+        stats::ENGINE_DUAL_SUMS.inc();
+        let sum = self.exact_dual();
+        self.dual.anchor(sum);
+        sum
+    }
+
+    /// The compensated O(E) sum behind [`Self::dual_objective_stored`],
+    /// without its bookkeeping (the debug cross-checks call it too).
+    fn exact_dual(&mut self) -> f64 {
         self.flush_pending();
         let caps =
             self.caps.get_or_init(|| self.g.edge_ids().map(|e| self.g.capacity(e)).collect());
@@ -767,6 +882,42 @@ mod tests {
         let (rl, rlen) = replay_edge(0.01, rho, adds.iter().copied());
         assert_eq!(load.to_bits(), rl.to_bits());
         assert_eq!(len.to_bits(), rlen.to_bits());
+    }
+
+    #[test]
+    fn dual_bracket_contains_the_exact_sum() {
+        let (g, sessions) = setup();
+        for mode in AugmentMode::ALL {
+            let oracle = FixedIpOracle::new(&g, &sessions);
+            let inv_caps: Vec<f64> = g.edge_ids().map(|e| 1.0 / g.capacity(e)).collect();
+            let lengths = ScaledLengths::new(&inv_caps, -40.0, 5.0);
+            let mut engine = Engine::new(&g, &oracle, lengths, LengthGrowth::Fptas { eps: 0.3 })
+                .with_augment_mode(mode);
+            assert!(!engine.dual.is_known(), "a fresh engine knows nothing about D");
+            let _ = engine.dual_objective_stored();
+            for round in 0..20 {
+                let tree = engine.min_tree(round % 2);
+                let c = tree.bottleneck(&g);
+                engine.augment(tree, c);
+                let exact = engine.exact_dual();
+                let DualBracket { lo, hi } = engine.dual;
+                assert!(
+                    lo <= exact && exact <= hi,
+                    "{mode:?} round {round}: {lo} ≤ {exact} ≤ {hi}"
+                );
+                assert!(hi - lo <= 1e-8 * exact, "{mode:?} round {round}: bracket too wide");
+            }
+            if mode == AugmentMode::Batched {
+                // Two augments on one tree with no read between them: the
+                // flush compounds factors on the same edges, so the bracket
+                // must give up rather than drift.
+                let tree = engine.min_tree(0);
+                engine.augment(tree.clone(), 1.0);
+                engine.augment(tree, 1.0);
+                let _ = engine.stored_lengths();
+                assert!(!engine.dual.is_known(), "a repeated-edge flush must reset the bracket");
+            }
+        }
     }
 
     #[test]

@@ -14,12 +14,16 @@ pub struct Session {
 }
 
 impl Session {
-    /// Creates a session; validates ≥ 2 distinct members and positive
-    /// demand.
+    /// Creates a session; validates ≥ 2 distinct members and a positive,
+    /// finite demand (an infinite demand would turn M2's demand prescale
+    /// into NaN).
     #[must_use]
     pub fn new(members: Vec<NodeId>, demand: f64) -> Self {
         assert!(members.len() >= 2, "a session needs a source and a receiver");
-        assert!(demand > 0.0, "demand must be positive");
+        assert!(
+            demand.is_finite() && demand > 0.0,
+            "demand must be positive and finite, got {demand}"
+        );
         let mut sorted = members.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -153,6 +157,18 @@ mod tests {
     #[should_panic(expected = "duplicate")]
     fn duplicate_members_rejected() {
         let _ = Session::new(vec![NodeId(1), NodeId(1)], 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand must be positive and finite, got inf")]
+    fn infinite_demand_rejected() {
+        let _ = Session::new(vec![NodeId(0), NodeId(1)], f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "demand must be positive and finite, got NaN")]
+    fn nan_demand_rejected() {
+        let _ = Session::new(vec![NodeId(0), NodeId(1)], f64::NAN);
     }
 
     #[test]

@@ -59,6 +59,8 @@ fn count_metrics_bit_identical_across_thread_counts_and_repeats() {
     for needle in [
         "counter engine.augment.count ",
         "counter engine.oracle.calls ",
+        "counter engine.dual.sums ",
+        "counter engine.dual.skips ",
         "counter routing.dijkstra.runs ",
         "counter routing.heap.pushes ",
         "counter routing.heap.pops ",

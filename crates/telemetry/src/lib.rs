@@ -53,7 +53,7 @@ pub use export::{lint_sorted_json, render_profile_json};
 pub use logger::{log_level, set_log_level, LogLevel};
 pub use metrics::{Class, Counter, Gauge, Histogram, OwnedCounter};
 pub use registry::{registered_len, reset, snapshot, Snapshot};
-pub use spans::{span, SpanGuard};
+pub use spans::{root_span, span, RootSpanGuard, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -56,6 +56,37 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { start: Some(Instant::now()) }
 }
 
+/// Open a span named `name` at the root of the span tree, setting aside
+/// whatever spans the calling thread has open until it closes. For pool
+/// work units: a worker blocked on a join inside one unit's span may run
+/// another unit (work stealing), and that unit's span path must not
+/// depend on which thread happened to run it. One relaxed load when
+/// telemetry is off.
+#[inline]
+pub fn root_span(name: &'static str) -> RootSpanGuard {
+    if !crate::enabled() {
+        return RootSpanGuard { span: SpanGuard { start: None }, outer: None };
+    }
+    let outer = STACK.with(|s| std::mem::take(&mut *s.borrow_mut()));
+    RootSpanGuard { span: span(name), outer: Some(outer) }
+}
+
+/// An RAII root span, created by [`root_span`]: closes its span, then
+/// reinstates the spans the calling thread had open.
+pub struct RootSpanGuard {
+    span: SpanGuard,
+    outer: Option<Vec<&'static str>>,
+}
+
+impl Drop for RootSpanGuard {
+    fn drop(&mut self) {
+        drop(std::mem::replace(&mut self.span, SpanGuard { start: None }));
+        if let Some(outer) = self.outer.take() {
+            STACK.with(|s| *s.borrow_mut() = outer);
+        }
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };

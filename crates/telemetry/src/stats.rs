@@ -27,6 +27,11 @@ pub static ENGINE_FLUSH_EDGES: Counter = Counter::new("engine.flush.edges", Clas
 pub static ENGINE_FLUSH_SWEEPS: Counter = Counter::new("engine.flush.sweeps", Class::Count);
 /// Lazy epoch advances latched by augments and applied at the next read.
 pub static ENGINE_EPOCH_ADVANCES: Counter = Counter::new("engine.epoch.advances", Class::Count);
+/// Full O(E) evaluations of the dual objective `D = Σ c_e·d_e`.
+pub static ENGINE_DUAL_SUMS: Counter = Counter::new("engine.dual.sums", Class::Count);
+/// Dual-objective decisions (M2 stop test, `observe_alpha`) settled by the
+/// engine's running bracket on `D` without a full evaluation.
+pub static ENGINE_DUAL_SKIPS: Counter = Counter::new("engine.dual.skips", Class::Count);
 
 // --- oracle (epoch-cached tree oracles, omcf-overlay) -----------------
 //

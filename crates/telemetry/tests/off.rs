@@ -3,7 +3,9 @@
 //! heap allocations. Lives in its own integration-test binary so no
 //! neighbouring test can have enabled telemetry in this process.
 
-use omcf_telemetry::{registered_len, span, Class, Counter, Gauge, Histogram, OwnedCounter};
+use omcf_telemetry::{
+    registered_len, root_span, span, Class, Counter, Gauge, Histogram, OwnedCounter,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -48,6 +50,7 @@ fn disabled_sites_register_nothing_and_allocate_nothing() {
         OFF_HISTOGRAM.observe(i as u64);
         owned.inc();
         let _outer = span("off.outer");
+        let _root = root_span("off.root");
         let _inner = span("off.inner");
     }
     let after = ALLOCS.load(Ordering::Relaxed);

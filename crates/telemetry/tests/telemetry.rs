@@ -109,6 +109,25 @@ fn spans_nest_into_slash_paths_and_merge_sorted() {
 }
 
 #[test]
+fn root_spans_ignore_the_callers_open_spans() {
+    let snap = with_telemetry(|| {
+        let _a = tm::span("alpha");
+        {
+            // What a pool worker blocked inside `alpha` does when it
+            // steals another work unit.
+            let _cell = tm::root_span("cell");
+            let _b = tm::span("beta");
+        }
+        let _c = tm::span("gamma");
+        drop(_c);
+        drop(_a);
+        tm::snapshot()
+    });
+    let paths: Vec<(&str, u64)> = snap.spans.iter().map(|s| (s.path.as_str(), s.count)).collect();
+    assert_eq!(paths, vec![("alpha", 1), ("alpha/gamma", 1), ("cell", 1), ("cell/beta", 1)]);
+}
+
+#[test]
 fn snapshot_renders_sorted_lintable_json() {
     let (snap, rendered) = with_telemetry(|| {
         COUNTER.add(11);
