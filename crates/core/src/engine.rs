@@ -515,10 +515,9 @@ impl<'a, O: TreeOracle + ?Sized> Engine<'a, O> {
 
     /// One oracle sweep: the minimum trees of `session_ids`, in order, all
     /// under the current lengths, issued as a single batched
-    /// [`TreeOracle::min_trees_view`] query so the oracle can recompute
-    /// stale member fans across sessions in shared Dijkstra lanes. Counts
-    /// one `mst_op` per session; results and cache accounting are
-    /// identical to calling [`Self::min_tree`] per id.
+    /// [`TreeOracle::min_trees_view`] query. Counts one `mst_op` per
+    /// session; results and cache accounting are identical to calling
+    /// [`Self::min_tree`] per id.
     pub fn min_trees(&mut self, session_ids: &[usize]) -> Vec<OverlayTree> {
         self.flush_pending();
         self.state.mst_ops += session_ids.len() as u64;

@@ -3,27 +3,39 @@
 //! Both FPTAS algorithms and the online algorithm are parameterized over a
 //! [`TreeOracle`]: given live per-physical-edge lengths, return the
 //! minimum-length overlay spanning tree of one session. Two implementations
-//! mirror the paper's two routing regimes (§II vs §V).
+//! mirror the paper's two routing regimes (§II vs §V). Both build the tree
+//! with one lazy dense Prim that *pulls* a member's weight row only when
+//! that member attaches, and never the last member's.
+//!
+//! ## Prim-ordered member fans
+//!
+//! Under dynamic routing a row is a member's shortest-path fan, so pulling
+//! rows lazily skips work outright: a query of an `m`-member session runs
+//! at most `m − 1` Dijkstras (the full metric closure needs `m`), each an
+//! early-exit run from the attaching member. Settled targets of such a run
+//! carry exactly a full run's distances and parents, so the trees are
+//! bit-identical to eager per-member recomputation. A query runs
+//! sequentially; there are no shared lanes and no cross-session batching.
 //!
 //! ## Epoch-aware caching
 //!
 //! The solver engine (`omcf-core::engine`) passes a [`LengthView`] carrying
-//! an [`EdgeEpochs`](crate::epoch::EdgeEpochs) touch clock alongside the
-//! lengths. Because the engine
+//! an [`EdgeEpochs`] touch clock alongside the lengths. Because the engine
 //! only ever *grows* lengths, an oracle may keep its last answer and serve
 //! it again whenever no edge its cached routes traverse has been touched
 //! since — the cached answer is provably the one a fresh computation would
 //! produce (see `docs/ENGINE.md`). [`DynamicOracle`] caches per session
 //! *member*: one shortest-path fan (distances + paths to the other members)
-//! per source, recomputing only the sources whose routes crossed a touched
-//! edge. [`FixedIpOracle`]'s routes are frozen, so it caches the finished
-//! tree per session and revalidates against the session's covered edge set.
-//! Plain [`TreeOracle::min_tree`] calls (no epochs) always recompute.
+//! per source, looked up only when Prim requests that member's fan and
+//! recomputed only if its routes crossed a touched edge. [`FixedIpOracle`]'s
+//! routes are frozen, so it caches the finished tree per session and
+//! revalidates against the session's covered edge set. Plain
+//! [`TreeOracle::min_tree`] calls (no epochs) always recompute.
 
-use crate::epoch::LengthView;
+use crate::epoch::{EdgeEpochs, LengthView};
 use crate::session::SessionSet;
 use crate::tree::{OverlayHop, OverlayTree};
-use omcf_routing::{fan_width, run_fan_chunks_with, FixedRoutes, Path, QueueKind, WorkspacePool};
+use omcf_routing::{DijkstraWorkspace, FixedRoutes, Path, QueueKind, WorkspacePool};
 use omcf_telemetry::{stats, OwnedCounter};
 use omcf_topology::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -106,9 +118,9 @@ pub trait TreeOracle {
     /// `session_ids`, in order, all under the same view — the engine
     /// queries whole schedule rounds through this entry point. Results
     /// and cache accounting are identical to calling
-    /// [`Self::min_tree_view`] once per id (which is exactly what this
-    /// default does); implementations may batch the underlying
-    /// shortest-path work across sessions.
+    /// [`Self::min_tree_view`] once per id, which is exactly what this
+    /// default does (a repeated id finds the cache entries its first
+    /// occurrence refreshed).
     fn min_trees_view(&self, session_ids: &[usize], view: LengthView<'_>) -> Vec<OverlayTree> {
         session_ids.iter().map(|&i| self.min_tree_view(i, view)).collect()
     }
@@ -131,25 +143,38 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-/// Dense Prim MST over `m` overlay nodes with a weight closure.
-/// Deterministic: among equal-weight candidates the lowest-index vertex
-/// attaches first. Returns `parent[i]` for `i ≥ 1` in attach order.
-/// Degenerate inputs (`m < 2`) have no overlay links: returns no edges.
-fn prim_dense(m: usize, weight: impl Fn(usize, usize) -> f64) -> Vec<(usize, usize)> {
+/// Dense Prim MST over `m` overlay nodes that pulls weight rows lazily:
+/// `row(a, in_tree, out)` must fill `out[j]` with the weight of overlay
+/// link `a–j` for every `j` with `!in_tree[j]` (other entries are never
+/// read). It is called once per attached vertex, when it attaches —
+/// vertex 0 first — and never for the last vertex to attach, which is
+/// exactly the part of the metric closure Prim reads. Deterministic:
+/// among equal-weight candidates the lowest-index vertex attaches first,
+/// and a fringe vertex only moves to a strictly cheaper link. Returns
+/// `(parent, child)` edges in attach order. Degenerate inputs (`m < 2`)
+/// have no overlay links: returns no edges and pulls no row.
+fn prim_dense(m: usize, mut row: impl FnMut(usize, &[bool], &mut [f64])) -> Vec<(usize, usize)> {
     if m < 2 {
         // A single-member (or empty) overlay has an empty spanning tree;
         // returning early keeps release builds from underflowing `m - 1`.
         return Vec::new();
     }
     let mut in_tree = vec![false; m];
-    let mut best = vec![f64::INFINITY; m];
+    // One buffer for the fringe's best link weights and the pulled row.
+    let mut scratch = vec![f64::INFINITY; 2 * m];
+    let (best, weights) = scratch.split_at_mut(m);
     let mut parent = vec![0usize; m];
-    in_tree[0] = true;
-    for (j, slot) in best.iter_mut().enumerate().skip(1) {
-        *slot = weight(0, j);
-    }
     let mut edges = Vec::with_capacity(m - 1);
+    let mut last = 0;
+    in_tree[0] = true;
     for _ in 1..m {
+        row(last, &in_tree, weights);
+        for j in 0..m {
+            if !in_tree[j] && weights[j] < best[j] {
+                best[j] = weights[j];
+                parent[j] = last;
+            }
+        }
         // Pick the cheapest fringe vertex (lowest index wins ties).
         let mut pick = usize::MAX;
         for j in 0..m {
@@ -160,15 +185,7 @@ fn prim_dense(m: usize, weight: impl Fn(usize, usize) -> f64) -> Vec<(usize, usi
         assert!(best[pick].is_finite(), "overlay graph must be complete/connected");
         in_tree[pick] = true;
         edges.push((parent[pick], pick));
-        for j in 0..m {
-            if !in_tree[j] {
-                let w = weight(pick, j);
-                if w < best[j] {
-                    best[j] = w;
-                    parent[j] = pick;
-                }
-            }
-        }
+        last = pick;
     }
     edges
 }
@@ -298,7 +315,7 @@ impl FixedIpOracle {
                 w[j * m + i] = len;
             }
         }
-        let edges = prim_dense(m, |i, j| w[i * m + j]);
+        let edges = prim_dense(m, |a, _, row| row.copy_from_slice(&w[a * m..(a + 1) * m]));
         let hops = edges
             .into_iter()
             .map(|(a, b)| OverlayHop { a, b, path: routes.route(members[a], members[b]).clone() })
@@ -360,11 +377,7 @@ impl TreeOracle for FixedIpOracle {
 /// co-members (indexed by member position) — plus the physical edges those
 /// paths traverse (the invalidation key). Storing the extracted fan
 /// instead of a whole retained Dijkstra workspace keeps entries compact
-/// and lets misses recompute through shared [`BatchDijkstra`] lanes
-/// (several stale members per CSR pass) rather than one workspace run per
-/// member.
-///
-/// [`BatchDijkstra`]: omcf_routing::BatchDijkstra
+/// and lets one pooled workspace serve every recompute.
 #[derive(Debug, Default)]
 struct FanCache {
     /// 0 = never filled (real run ids start at 1).
@@ -397,19 +410,21 @@ impl DynState {
 }
 
 /// Oracle under **arbitrary dynamic routing** (§V): overlay edges follow the
-/// shortest path under the *current* lengths, recomputed per call via one
-/// Dijkstra per session member. Both query paths run their member fans
-/// through [`BatchDijkstra`](omcf_routing::BatchDijkstra) engines at the
-/// calibrated [`fan_width`] — early-exit source
-/// lanes, chunks split across the pool's
-/// [`Parallelism`](omcf_numerics::Parallelism) workers —
-/// and epoch-backed queries additionally skip the Dijkstra entirely for
-/// members whose cached fan avoids every edge touched since it was
-/// computed (exact under monotone length growth). The batched
-/// [`TreeOracle::min_trees_view`] recomputes stale members of *different*
-/// sessions in shared lanes. All results are bit-identical to per-source
-/// serial recomputation. All Dijkstras run the CSR core with the oracle's
-/// configured [`QueueKind`].
+/// shortest path under the *current* lengths. Prim over the members'
+/// metric closure *pulls* member fans: member `a`'s shortest-path fan is
+/// needed only when `a` attaches to the tree, and never for the last
+/// member to attach, so a query of an `m`-member session requests `m − 1`
+/// fans. A requested fan comes from a still-valid epoch-cached entry
+/// (exact under monotone length growth: its routes avoid every edge
+/// touched since it was computed) or from one early-exit
+/// [`DijkstraWorkspace`] run from `a`, leased from the oracle's pool — to
+/// all members when the fan is cached for reuse, to the members not yet
+/// attached otherwise. Settled targets of an early-exit run carry the same
+/// distances and parents as a full run, so every query path returns the
+/// trees of full per-member recomputation bit for bit. A query runs
+/// sequentially, and batched [`TreeOracle::min_trees_view`] queries answer
+/// their sessions one by one, in order. All Dijkstras run the CSR core
+/// with the oracle's configured [`QueueKind`].
 #[derive(Debug)]
 pub struct DynamicOracle {
     g: Graph,
@@ -419,7 +434,7 @@ pub struct DynamicOracle {
     hits: OwnedCounter,
     misses: OwnedCounter,
     bypass: BypassGauge,
-    /// Batch fan engines are leased from here around every query. Oracles
+    /// Dijkstra workspaces are leased from here for every fan run. Oracles
     /// built via [`Self::with_pool`] share the sweep driver's
     /// cross-instance pool; otherwise the oracle owns a private one so
     /// scratch still persists across calls.
@@ -487,32 +502,32 @@ impl DynamicOracle {
         Self::build(g, sessions, true, None)
     }
 
-    /// Like [`Self::new`], but batch fan engines are leased from `pool`
+    /// Like [`Self::new`], but Dijkstra workspaces are leased from `pool`
     /// (and handed back after every query) instead of a private pool.
     /// Drivers that solve many instances over same-sized graphs (the
     /// scenario sweep) share one pool so the dense Dijkstra buffers are
-    /// recycled across cells; the pool's
-    /// [`Parallelism`](omcf_numerics::Parallelism) policy also governs how
-    /// lane chunks are split across workers.
+    /// recycled across cells.
     #[must_use]
     pub fn with_pool(g: &Graph, sessions: &SessionSet, pool: Arc<WorkspacePool>) -> Self {
         Self::build(g, sessions, true, Some(pool))
     }
 
     /// Like [`Self::new`] but with the epoch path disabled: every query
-    /// recomputes the whole member fan, exactly like the plain
-    /// [`TreeOracle::min_tree`] interface. Benchmark / verification
-    /// baseline.
+    /// recomputes each fan Prim requests, exactly like the plain
+    /// [`TreeOracle::min_tree`] interface. Fits oracles that answer a
+    /// single query (nothing to reuse) and serves as the benchmark /
+    /// verification baseline.
     #[must_use]
     pub fn uncached(g: &Graph, sessions: &SessionSet) -> Self {
         Self::build(g, sessions, false, None)
     }
 
-    /// Cache hit/miss counts (per member-level Dijkstra) since
-    /// construction. Plain-interface queries count as misses. Thin
-    /// forwarding shim: the counts live in telemetry [`OwnedCounter`]s,
-    /// which also mirror into the process-wide `oracle.dynamic.cache.*`
-    /// aggregates whenever telemetry is enabled.
+    /// Cache hit/miss counts (one per member fan Prim requests, so `m − 1`
+    /// per tree of an `m`-member session) since construction. Every miss
+    /// is exactly one Dijkstra run; plain-interface queries count as
+    /// misses. Thin forwarding shim: the counts live in telemetry
+    /// [`OwnedCounter`]s, which also mirror into the process-wide
+    /// `oracle.dynamic.cache.*` aggregates whenever telemetry is enabled.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats { hits: self.hits.get(), misses: self.misses.get() }
@@ -524,184 +539,127 @@ impl DynamicOracle {
         self.bypass.tripped()
     }
 
-    /// The uncached fan computation behind [`TreeOracle::min_tree`] and
-    /// every cache-bypassing query path: *all* queried sessions' member
-    /// fans run through [`BatchDijkstra`] engines at the calibrated
-    /// [`fan_width`] — lanes packed in job order regardless of session
-    /// boundaries — then each session's tree is assembled from its own
-    /// lanes. One SPT per member under the live lengths (the §V-B
-    /// procedure), each lane early-exiting once its session's members are
-    /// all settled: Prim only ever reads member-to-member distances, and
-    /// settled values are identical to full per-source runs.
-    ///
-    /// [`BatchDijkstra`]: omcf_routing::BatchDijkstra
-    fn min_trees_batched(&self, session_ids: &[usize], lengths: &[f64]) -> Vec<OverlayTree> {
-        let mut jobs: Vec<(NodeId, &[NodeId])> = Vec::new();
-        for &s in session_ids {
-            let members = &self.sessions.session(s).members;
-            self.misses.add(members.len() as u64);
-            // A single-member (or empty) overlay has an empty spanning
-            // tree; no fan to compute.
-            if members.len() >= 2 {
-                jobs.extend(members.iter().map(|&src| (src, &members[..])));
-            }
+    /// The one query loop behind every path: Prim over session `s`'s
+    /// members, pulling member `a`'s fan only when `a` attaches. With
+    /// `cache` (the epoch path, state lock held) a fan is served from its
+    /// still-valid entry or recomputed to all members and stored; a stale
+    /// fan Prim never requests stays stale until a later query needs it.
+    /// Without `cache` (uncached oracle, bypass, contended lock, plain
+    /// [`TreeOracle::min_tree`]) each fan is an early-exit run to the
+    /// members not yet attached, kept until its tree hops are extracted.
+    fn query(
+        &self,
+        s: usize,
+        lengths: &[f64],
+        mut cache: Option<(&mut [Option<FanCache>], &EdgeEpochs)>,
+    ) -> OverlayTree {
+        let members = &self.sessions.session(s).members;
+        let n = self.g.node_count();
+        let mut runs: Vec<Option<DijkstraWorkspace>> = Vec::new();
+        if cache.is_none() {
+            runs.resize_with(members.len(), || None);
         }
-        let engines = run_fan_chunks_with(
-            &self.g,
-            &jobs,
-            lengths,
-            &self.pool,
-            self.queue,
-            self.pool.parallelism(),
-        );
-        let width = fan_width(self.g.node_count());
-        let lane = |a: usize| (&engines[a / width], a % width);
-        let mut base = 0usize;
-        let trees = session_ids
-            .iter()
-            .map(|&s| {
-                let members = &self.sessions.session(s).members;
-                let m = members.len();
-                if m < 2 {
-                    return OverlayTree { session: s, hops: Vec::new() };
-                }
-                let edges = prim_dense(m, |a, b| {
-                    let (batch, l) = lane(base + a);
-                    batch.dist(l, members[b])
-                });
-                let hops = edges
-                    .into_iter()
-                    .map(|(a, b)| {
-                        let (batch, l) = lane(base + a);
-                        OverlayHop {
-                            a,
-                            b,
-                            path: batch
-                                .path_to(l, members[b])
-                                .expect("connected graph: member must be reachable"),
-                        }
-                    })
-                    .collect();
-                base += m;
-                OverlayTree { session: s, hops }
+        let mut open: Vec<NodeId> = Vec::new();
+        let edges = prim_dense(members.len(), |a, in_tree, row| {
+            if let Some((fans, epochs)) = cache.as_mut() {
+                let fan = self.cached_fan(&mut fans[a], members[a], members, lengths, epochs);
+                row.copy_from_slice(&fan.dists);
+                return;
+            }
+            self.misses.inc();
+            open.clear();
+            open.extend(members.iter().zip(in_tree).filter(|(_, &t)| !t).map(|(&v, _)| v));
+            let mut ws = self.pool.lease_with(n, self.queue);
+            ws.run_targets(&self.g, members[a], lengths, &open);
+            for (w, &v) in row.iter_mut().zip(members) {
+                *w = ws.dist(v);
+            }
+            runs[a] = Some(ws);
+        });
+        let hops = edges
+            .into_iter()
+            .map(|(a, b)| {
+                let path = match &cache {
+                    Some((fans, _)) => {
+                        fans[a].as_ref().expect("requested by Prim").paths[b].clone()
+                    }
+                    None => runs[a]
+                        .as_ref()
+                        .expect("requested by Prim")
+                        .path_to(members[b])
+                        .expect("connected graph: member must be reachable"),
+                };
+                OverlayHop { a, b, path }
             })
             .collect();
-        for batch in engines {
-            self.pool.give_back_batch(batch);
+        for ws in runs.into_iter().flatten() {
+            self.pool.give_back(ws);
         }
-        trees
+        OverlayTree { session: s, hops }
+    }
+
+    /// Member `src`'s fan from its cache entry: served as is while the
+    /// entry is from this run and none of its edges was touched since it
+    /// was stamped (a hit), otherwise recomputed to all `members` and
+    /// restamped (a miss). Feeds the bypass gauge either way.
+    fn cached_fan<'c>(
+        &self,
+        entry: &'c mut Option<FanCache>,
+        src: NodeId,
+        members: &[NodeId],
+        lengths: &[f64],
+        epochs: &EdgeEpochs,
+    ) -> &'c FanCache {
+        let valid = entry.as_ref().is_some_and(|c| {
+            c.run_id == epochs.run_id() && epochs.none_touched_since(&c.fan_edges, c.epoch)
+        });
+        if valid {
+            self.hits.inc();
+            self.bypass.on_hit();
+            return entry.as_ref().expect("validated above");
+        }
+        self.misses.inc();
+        self.bypass.on_miss();
+        let mut ws = self.pool.lease_with(self.g.node_count(), self.queue);
+        ws.run_targets(&self.g, src, lengths, members);
+        let fan = entry.get_or_insert_with(FanCache::default);
+        fan.dists.clear();
+        fan.paths.clear();
+        fan.fan_edges.clear();
+        for &t in members {
+            fan.dists.push(ws.dist(t));
+            let reached = ws.path_edges_into(t, &mut fan.fan_edges);
+            assert!(reached, "connected graph: member must be reachable");
+            fan.paths.push(ws.path_to(t).expect("reached above"));
+        }
+        self.pool.give_back(ws);
+        fan.fan_edges.sort_unstable();
+        fan.fan_edges.dedup();
+        fan.run_id = epochs.run_id();
+        fan.epoch = epochs.current();
+        fan
     }
 }
 
 impl TreeOracle for DynamicOracle {
     fn min_tree(&self, session_idx: usize, lengths: &[f64]) -> OverlayTree {
-        self.min_trees_batched(std::slice::from_ref(&session_idx), lengths)
-            .pop()
-            .expect("one tree per queried session")
+        self.query(session_idx, lengths, None)
     }
 
     fn min_tree_view(&self, session_idx: usize, view: LengthView<'_>) -> OverlayTree {
-        self.min_trees_view(std::slice::from_ref(&session_idx), view)
-            .pop()
-            .expect("one tree per queried session")
-    }
-
-    fn min_trees_view(&self, session_ids: &[usize], view: LengthView<'_>) -> Vec<OverlayTree> {
         let Some(epochs) = view.epochs.filter(|_| self.caching && !self.bypass.tripped()) else {
             if view.epochs.is_some() && self.caching {
-                stats::ORACLE_BYPASSED.add(session_ids.len() as u64);
+                stats::ORACLE_BYPASSED.inc();
             }
-            return self.min_trees_batched(session_ids, view.lengths);
+            return self.query(session_idx, view.lengths, None);
         };
         // Contended (another solver run shares this oracle, e.g. a rayon
         // ratio sweep): compute lock-free instead of serializing on the
         // cache — the pre-engine baseline cost, never worse.
-        let Ok(mut guard) = self.state.try_lock() else {
-            return self.min_trees_batched(session_ids, view.lengths);
+        let Ok(mut st) = self.state.try_lock() else {
+            return self.query(session_idx, view.lengths, None);
         };
-        let st = &mut *guard;
-        // Probe phase: per session in query order, per member in member
-        // order — the exact hit/miss accounting of a sequential
-        // `min_tree_view` loop. A repeated session id hits on its second
-        // occurrence (the first occurrence's recompute restamps the entry
-        // at the current epoch, and nothing can be touched mid-batch).
-        let mut scheduled = std::collections::HashSet::new();
-        let mut stale: Vec<(usize, usize)> = Vec::new();
-        for &s in session_ids {
-            for a in 0..self.sessions.session(s).members.len() {
-                let valid = st.fans[s][a].as_ref().is_some_and(|c| {
-                    c.run_id == epochs.run_id() && epochs.none_touched_since(&c.fan_edges, c.epoch)
-                }) || scheduled.contains(&(s, a));
-                if valid {
-                    self.hits.inc();
-                    self.bypass.on_hit();
-                } else {
-                    self.misses.inc();
-                    self.bypass.on_miss();
-                    scheduled.insert((s, a));
-                    stale.push((s, a));
-                }
-            }
-        }
-        // Recompute phase: all stale members — possibly spanning several
-        // sessions — in shared batch lanes, each lane early-exiting on its
-        // own session's member set.
-        if !stale.is_empty() {
-            let jobs: Vec<(NodeId, &[NodeId])> = stale
-                .iter()
-                .map(|&(s, a)| {
-                    let members = &self.sessions.session(s).members;
-                    (members[a], &members[..])
-                })
-                .collect();
-            let engines = run_fan_chunks_with(
-                &self.g,
-                &jobs,
-                view.lengths,
-                &self.pool,
-                self.queue,
-                self.pool.parallelism(),
-            );
-            let width = fan_width(self.g.node_count());
-            for (idx, &(s, a)) in stale.iter().enumerate() {
-                let batch = &engines[idx / width];
-                let lane = idx % width;
-                let members = &self.sessions.session(s).members;
-                let fan = st.fans[s][a].get_or_insert_with(FanCache::default);
-                fan.dists.clear();
-                fan.paths.clear();
-                fan.fan_edges.clear();
-                for &t in members {
-                    fan.dists.push(batch.dist(lane, t));
-                    let reached = batch.path_edges_into(lane, t, &mut fan.fan_edges);
-                    assert!(reached, "connected graph: member must be reachable");
-                    fan.paths.push(batch.path_to(lane, t).expect("reached above"));
-                }
-                fan.fan_edges.sort_unstable();
-                fan.fan_edges.dedup();
-                fan.run_id = epochs.run_id();
-                fan.epoch = epochs.current();
-            }
-            for batch in engines {
-                self.pool.give_back_batch(batch);
-            }
-        }
-        // Assembly phase: Prim per queried session over the (now all
-        // valid) cached fans.
-        session_ids
-            .iter()
-            .map(|&s| {
-                let m = self.sessions.session(s).members.len();
-                let fans = &st.fans[s];
-                let fan = |a: usize| fans[a].as_ref().expect("filled above");
-                let edges = prim_dense(m, |a, b| fan(a).dists[b]);
-                let hops = edges
-                    .into_iter()
-                    .map(|(a, b)| OverlayHop { a, b, path: fan(a).paths[b].clone() })
-                    .collect();
-                OverlayTree { session: s, hops }
-            })
-            .collect()
+        self.query(session_idx, view.lengths, Some((&mut st.fans[session_idx], epochs)))
     }
 
     fn sessions(&self) -> &SessionSet {
@@ -719,7 +677,6 @@ impl TreeOracle for DynamicOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::epoch::EdgeEpochs;
     use crate::session::Session;
     use omcf_topology::{canned, NodeId};
 
@@ -819,9 +776,28 @@ mod tests {
 
     #[test]
     fn prim_dense_handles_degenerate_member_counts() {
-        assert!(prim_dense(0, |_, _| 1.0).is_empty());
-        assert!(prim_dense(1, |_, _| 1.0).is_empty());
-        assert_eq!(prim_dense(2, |_, _| 1.0), vec![(0, 1)]);
+        let unit = |_: usize, _: &[bool], row: &mut [f64]| row.fill(1.0);
+        assert!(prim_dense(0, unit).is_empty());
+        assert!(prim_dense(1, unit).is_empty());
+        assert_eq!(prim_dense(2, unit), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn prim_dense_pulls_each_row_once_when_its_vertex_attaches() {
+        // Path metric on a line: 0–3 is the only cheap link from 0, then
+        // 3–1, then 1–2. Rows come in attach order and the last vertex's
+        // row is never pulled.
+        let pos = [0.0, 5.0, 7.0, 1.0];
+        let mut pulled = Vec::new();
+        let edges = prim_dense(4, |a, in_tree, row| {
+            assert!(in_tree[a], "a row is pulled only once its vertex is attached");
+            pulled.push(a);
+            for (j, w) in row.iter_mut().enumerate() {
+                *w = f64::abs(pos[a] - pos[j]);
+            }
+        });
+        assert_eq!(edges, vec![(0, 3), (3, 1), (1, 2)]);
+        assert_eq!(pulled, vec![0, 3, 1]);
     }
 
     #[test]
@@ -837,8 +813,8 @@ mod tests {
         let t2 = oracle.min_tree_view(0, view);
         assert_eq!(t1, t2);
         let stats = oracle.cache_stats();
-        assert_eq!(stats.misses, 3, "first query: one Dijkstra per member");
-        assert_eq!(stats.hits, 3, "second query: all fans served from cache");
+        assert_eq!(stats.misses, 2, "first query: one Dijkstra per fan Prim requests");
+        assert_eq!(stats.hits, 2, "second query: both requested fans served from cache");
     }
 
     #[test]
@@ -896,7 +872,9 @@ mod tests {
         let reference = DynamicOracle::uncached(&g, &sessions);
         let mut lengths = unit_lengths(&g);
         let mut epochs = EdgeEpochs::new(g.edge_count());
-        for step in 0..200 {
+        // A 2-member query requests one fan, so the streak needs more
+        // queries than the 256-miss threshold.
+        for step in 0..300 {
             let view = LengthView::with_epochs(&lengths, &epochs);
             let t = oracle.min_tree_view(0, view);
             let fresh = reference.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
@@ -908,11 +886,12 @@ mod tests {
                 epochs.touch(e.0.idx());
             }
         }
-        // 200 queries × 2 members = 400 misses > threshold, zero hits.
+        // 300 queries × 1 fan = 300 misses > threshold, zero hits.
         assert!(oracle.cache_bypassed(), "hitless streak must trip the bypass");
         assert_eq!(oracle.cache_stats().hits, 0);
-        // Bypassed queries still count as misses on the plain path.
-        assert!(oracle.cache_stats().misses >= super::CACHE_BYPASS_MISSES);
+        // Bypassed queries still count their fan as a miss on the plain path.
+        assert_eq!(oracle.cache_stats().misses, 300);
+        assert!(oracle.cache_stats().misses > super::CACHE_BYPASS_MISSES);
     }
 
     #[test]
@@ -943,9 +922,10 @@ mod tests {
 
     #[test]
     fn auto_bypass_threshold_scales_with_instance_size() {
-        // 100 sessions × 3 members = 300 fans > 256: the cold first query
-        // round alone must NOT trip the gauge — hits only become possible
-        // from the second round, and they must still disarm it.
+        // 100 sessions × 3 members = 300 fans, so the threshold is 600: the
+        // cold first query round (2 requested fans per tree) alone must NOT
+        // trip the gauge — hits only become possible from the second
+        // round, and they must still disarm it.
         let g = canned::grid(6, 6, 10.0);
         let sessions = SessionSet::new(
             (0..100)
@@ -963,14 +943,14 @@ mod tests {
         for i in 0..sessions.len() {
             let _ = oracle.min_tree_view(i, LengthView::with_epochs(&lengths, &epochs));
         }
-        assert_eq!(oracle.cache_stats().misses, 300, "cold round misses every fan");
+        assert_eq!(oracle.cache_stats().misses, 200, "cold round misses every requested fan");
         assert!(
             !oracle.cache_bypassed(),
             "the unavoidable cold round must not trip the bypass on a large instance"
         );
         // Second round: untouched clock ⇒ all hits; gauge disarmed forever.
         let _ = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
-        assert!(oracle.cache_stats().hits >= 3);
+        assert_eq!(oracle.cache_stats().hits, 2);
         assert!(!oracle.cache_bypassed());
     }
 
@@ -1000,7 +980,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_oracle_recycles_batch_engines() {
+    fn pooled_oracle_recycles_workspaces() {
         let g = canned::grid(4, 4, 10.0);
         let sessions =
             SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(5), NodeId(15)], 1.0)]);
@@ -1010,23 +990,21 @@ mod tests {
         let oracle = DynamicOracle::with_pool(&g, &sessions, Arc::clone(&pool));
         let t = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         t.validate(sessions.session(0), &g);
-        // One engine per fan-width chunk of the 3-member fan.
-        let engines = 3usize.div_ceil(omcf_routing::fan_width(g.node_count()));
-        assert_eq!(
-            pool.idle_batches(),
-            engines,
-            "the cold query's batch engines are back in the shared pool"
-        );
-        // The plain path leases the same engines instead of allocating.
+        // The cached path extracts each fan before the next run, so its two
+        // fan runs share one workspace, back in the shared pool afterwards.
+        assert_eq!(pool.idle(), 1, "the cold query's workspace is back in the shared pool");
+        // The plain path keeps both fan runs until the hops are extracted:
+        // it reuses the pooled workspace and allocates one more.
         let _ = oracle.min_tree(0, &lengths);
-        assert_eq!(pool.idle_batches(), engines, "plain path reuses the pooled engines");
+        assert_eq!(pool.idle(), 2, "plain path returns both workspaces");
         // A second pooled oracle reuses the pool and computes the same tree.
         let oracle2 = DynamicOracle::with_pool(&g, &sessions, Arc::clone(&pool));
         let reference = DynamicOracle::new(&g, &sessions);
         let t2 = oracle2.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         let tr = reference.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         assert_eq!(t2, tr);
-        assert_eq!(pool.idle_batches(), engines);
+        assert_eq!(pool.idle(), 2);
+        assert_eq!(pool.idle_batches(), 0, "the oracle leases no batch engines");
     }
 
     #[test]
@@ -1053,6 +1031,14 @@ mod tests {
                 ids.iter().map(|&i| sequential.min_tree_view(i, view)).collect();
             assert_eq!(trees, refs, "round {round}");
             assert_eq!(batched.cache_stats(), sequential.cache_stats(), "round {round}");
+            if round == 0 {
+                // Leave the clock untouched: round 1 is the warm round.
+                continue;
+            }
+            if round == 1 {
+                // 2 + 1 + 3 requested fans, all served from the cache.
+                assert_eq!(batched.cache_stats().hits, 6, "the warm round hits every fan");
+            }
             // Invalidate session 0's tree edges for the next round.
             epochs.advance();
             for e in trees[0].edge_multiplicities() {

@@ -69,8 +69,8 @@ proptest! {
         let reference = DynamicOracle::uncached(&g, &sessions);
         drive(&g, &cached, &reference, 20, &mut rng);
         let stats = cached.cache_stats();
-        prop_assert_eq!(stats.hits + stats.misses, 2 * 4 * 20,
-            "every member query is a hit or a miss");
+        prop_assert_eq!(stats.hits + stats.misses, 2 * 3 * 20,
+            "every fan Prim requests (m − 1 per tree) is a hit or a miss");
     }
 
     /// Epoch-cached fixed-IP oracle ≡ fresh recomputation through the

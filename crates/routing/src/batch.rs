@@ -46,10 +46,10 @@
 //! 166 vs 238 ms. [`fan_width`] encodes the calibrated production
 //! choice (currently per-source), and a specialized K=1 inner loop
 //! drops the lane indirection entirely, so the single-lane path costs
-//! the same as the dedicated [`DijkstraWorkspace`]. The multi-lane
-//! machinery stays: it is the API seam the oracles batch through, it
-//! is property-tested bit-identical at every K, and the calibration is
-//! one constant away if wider state ever starts winning.
+//! the same as the dedicated [`DijkstraWorkspace`]. Its callers are
+//! [`crate::fanout_trees_batched`] and [`crate::FixedRoutes::new`]; the
+//! dynamic-routing oracle runs its member fans one at a time through a
+//! [`DijkstraWorkspace`].
 //!
 //! [`DijkstraWorkspace`]: crate::DijkstraWorkspace
 
@@ -72,19 +72,16 @@ use std::collections::BinaryHeap;
 pub const LANE_CHUNK: usize = 8;
 
 /// Calibrated lane width for *production* fan execution on graphs of
-/// `_nodes` nodes: how many sources [`crate::run_fan_chunks_with`] and
-/// [`crate::fanout_trees_batched`] actually pack into one engine run.
+/// `_nodes` nodes: how many sources [`crate::fanout_trees_batched`] and
+/// [`crate::FixedRoutes::new`] actually pack into one engine run.
 /// Chunk width never changes results (pinned by `tests/batch_prop.rs`),
 /// only wall-clock time — so this is a pure tuning knob, and the
 /// measurements (see the module docs) say per-source wins at every
 /// scale tried, from 100-node session graphs to a 16384-node CSR:
 /// the shared queue's extra depth costs more than the CSR stream
-/// amortization recovers. Callers that index into the engine list a
-/// fan produced (`engines[job / width]`, lane `job % width`) must use
-/// this same function, never [`LANE_CHUNK`] — `LANE_CHUNK` remains the
-/// *maximum* lane count (what the state layout and property tests are
-/// sized for) and the parallel split granularity, not the execution
-/// width.
+/// amortization recovers. [`LANE_CHUNK`] remains the *maximum* lane
+/// count (what the state layout and property tests are sized for) and
+/// the parallel split granularity, not the execution width.
 #[inline]
 #[must_use]
 pub fn fan_width(_nodes: usize) -> usize {
@@ -267,10 +264,14 @@ impl BatchDijkstra {
         self.run_inner(g, sources, lengths, EdgeIndexed(lengths), &LaneTargets::None);
     }
 
-    /// [`Self::run`] with a pre-gathered arc-order weight mirror (see
-    /// [`Self::run_lane_targets_arcs`]). Same weights, bit-identical
-    /// results; the mirror is worth building only when several runs
-    /// share one length assignment.
+    /// [`Self::run`] with a pre-gathered arc-order weight mirror
+    /// (`arcs[a] = lengths[arc_edges[a]]`, see
+    /// [`CsrGraph::fill_arc_lengths`]): the relax loop streams the
+    /// contiguous mirror instead of gathering through the edge-id table.
+    /// Same weights, bit-identical results; the mirror is worth building
+    /// only when several runs share one length assignment.
+    ///
+    /// [`CsrGraph::fill_arc_lengths`]: omcf_topology::CsrGraph::fill_arc_lengths
     pub(crate) fn run_arcs(
         &mut self,
         g: &Graph,
@@ -309,28 +310,6 @@ impl BatchDijkstra {
     ) {
         assert_eq!(targets.len(), sources.len(), "one target set per lane");
         self.run_inner(g, sources, lengths, EdgeIndexed(lengths), &LaneTargets::PerLane(targets));
-    }
-
-    /// [`Self::run_lane_targets`] with a pre-gathered arc-order weight
-    /// mirror (`arcs[a] = lengths[arc_edges[a]]`, see
-    /// [`CsrGraph::fill_arc_lengths`]): the relax loop streams the
-    /// contiguous mirror instead of gathering through the edge-id
-    /// table. Same weights, so results stay bit-identical — the fan
-    /// driver builds the mirror once per length assignment and shares
-    /// it across every chunk.
-    ///
-    /// [`CsrGraph::fill_arc_lengths`]: omcf_topology::CsrGraph::fill_arc_lengths
-    pub(crate) fn run_lane_targets_arcs(
-        &mut self,
-        g: &Graph,
-        sources: &[NodeId],
-        lengths: &[f64],
-        arcs: &[f64],
-        targets: &[&[NodeId]],
-    ) {
-        assert_eq!(targets.len(), sources.len(), "one target set per lane");
-        debug_assert_eq!(arcs.len(), g.csr().arc_count(), "arc mirror size mismatch");
-        self.run_inner(g, sources, lengths, ArcMirror(arcs), &LaneTargets::PerLane(targets));
     }
 
     fn run_inner<W: ArcWeights>(

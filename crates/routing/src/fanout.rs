@@ -1,16 +1,17 @@
-//! Batched parallel member fan-out: all of one session's shortest-path
-//! trees at once.
+//! Batched parallel member fan-out: all of one session's full
+//! shortest-path trees at once.
 //!
-//! The §V dynamic-routing oracle needs one tree per session member under
-//! the same length assignment — `|S_i|` independent Dijkstras. This
-//! module computes them concurrently via rayon, each worker leasing its
-//! own [`DijkstraWorkspace`](crate::DijkstraWorkspace) from a shared
-//! [`WorkspacePool`] (no shared
-//! mutable state between workers), and returns the trees **in member
-//! order** regardless of completion order: results are merged by input
-//! index, so the output is deterministic and byte-identical to the
-//! serial loop (pinned by `tests/prop.rs`) at any thread count,
-//! including under work stealing.
+//! One tree per session member under the same length assignment is
+//! `|S_i|` independent Dijkstras. (The §V dynamic-routing oracle does not
+//! come through here: Prim pulls its member fans one at a time, as early-
+//! exit runs, only when a member attaches — see `omcf_overlay::oracle`.)
+//! This module computes whole fans concurrently via rayon, each worker
+//! leasing its own [`DijkstraWorkspace`](crate::DijkstraWorkspace) from
+//! a shared [`WorkspacePool`] (no shared mutable state between workers),
+//! and returns the trees **in member order** regardless of completion
+//! order: results are merged by input index, so the output is
+//! deterministic and byte-identical to the serial loop (pinned by
+//! `tests/prop.rs`) at any thread count, including under work stealing.
 //!
 //! Which threads run the fan-out is governed by the
 //! [`Parallelism`] policy: [`fanout_trees`] takes it from the pool
@@ -151,80 +152,6 @@ pub fn fanout_trees_batched_with(
     let trees = per_chunk.into_iter().flatten().collect();
     pool.give_back_mirror(mirror);
     trees
-}
-
-/// Early-exit fan engines for arbitrary `(source, targets)` jobs: a
-/// lane per job, each computing its job's shortest-path fan and
-/// stopping once every node of that job's target set is settled. Jobs
-/// are packed into engine runs of [`fan_width`](crate::fan_width)
-/// lanes — the calibrated production width — so job `i` lands in
-/// engine `i / fan_width(n)`, lane `i % fan_width(n)`, in order;
-/// callers must index with the same function. The engine runs are
-/// split across `parallelism`'s workers in
-/// [`LANE_CHUNK`](crate::LANE_CHUNK)-job slices. This is the oracle
-/// fan-recompute shape: each session member fans to its own session's
-/// member set, possibly mixing sessions in one run. Settled distances,
-/// parents and paths are identical to per-source full runs at any
-/// width. Callers read the lanes they need and hand each engine back
-/// via [`WorkspacePool::give_back_batch`].
-#[must_use]
-pub fn run_fan_chunks_with(
-    g: &Graph,
-    jobs: &[(NodeId, &[NodeId])],
-    lengths: &[f64],
-    pool: &WorkspacePool,
-    kind: QueueKind,
-    parallelism: Parallelism,
-) -> Vec<crate::batch::BatchDijkstra> {
-    if jobs.is_empty() {
-        return Vec::new();
-    }
-    let width = crate::batch::fan_width(g.node_count());
-    debug_assert!(width <= crate::batch::LANE_CHUNK, "fan width capped by the tested lane count");
-    // The parallel leg slices jobs at LANE_CHUNK boundaries and
-    // sub-chunks each slice by `width`; the flattened engine order
-    // equals the serial `jobs.chunks(width)` order only when slice
-    // boundaries fall on width boundaries.
-    debug_assert_eq!(crate::batch::LANE_CHUNK % width, 0, "parallel split must align with width");
-    // One arc-order gather of the live lengths serves every engine run
-    // of the fan; workers share it by reference. Same weight values per
-    // arc, so all settled state stays bit-identical to the per-edge
-    // lookup path.
-    let mut mirror = pool.lease_mirror();
-    g.csr().fill_arc_lengths(lengths, &mut mirror);
-    stats::ROUTING_MIRROR_GATHERS.inc();
-    stats::ROUTING_MIRROR_ARCS.add(mirror.len() as u64);
-    let mirror = mirror;
-    let run_chunk = |chunk: &[(NodeId, &[NodeId])]| -> crate::batch::BatchDijkstra {
-        let mut batch = pool.lease_batch(g.node_count(), kind);
-        // Gather on the stack: chunks never exceed LANE_CHUNK lanes.
-        let mut sources = [NodeId(0); crate::batch::LANE_CHUNK];
-        let mut targets: [&[NodeId]; crate::batch::LANE_CHUNK] = [&[]; crate::batch::LANE_CHUNK];
-        for (slot, &(src, tgts)) in chunk.iter().enumerate() {
-            sources[slot] = src;
-            targets[slot] = tgts;
-        }
-        batch.run_lane_targets_arcs(
-            g,
-            &sources[..chunk.len()],
-            lengths,
-            &mirror,
-            &targets[..chunk.len()],
-        );
-        batch
-    };
-    let engines = if parallelism.is_serial() || jobs.len() <= crate::batch::LANE_CHUNK {
-        jobs.chunks(width).map(run_chunk).collect()
-    } else {
-        let per_task: Vec<Vec<crate::batch::BatchDijkstra>> = parallelism.install(|| {
-            jobs.par_chunks(crate::batch::LANE_CHUNK)
-                .map(|task| task.chunks(width).map(run_chunk).collect())
-                .collect()
-        });
-        per_task.into_iter().flatten().collect()
-    };
-    pool.give_back_mirror(mirror);
-    engines
 }
 
 /// The serial twin of [`fanout_trees`]: one worker, same workspaces,

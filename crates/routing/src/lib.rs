@@ -38,7 +38,6 @@ pub mod workspace;
 
 pub use batch::{fan_width, BatchDijkstra, LANE_CHUNK};
 pub use dijkstra::{dijkstra, dijkstra_with, ShortestPathTree};
-pub use fanout::run_fan_chunks_with;
 pub use fanout::{
     fanout_trees, fanout_trees_batched, fanout_trees_batched_with, fanout_trees_serial,
     fanout_trees_with,

@@ -15,10 +15,7 @@
 
 use omcf_numerics::{Parallelism, Rng64, Xoshiro256pp};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{
-    fan_width, fanout_trees_batched_with, fanout_trees_with, run_fan_chunks_with, QueueKind,
-    WorkspacePool,
-};
+use omcf_routing::{fanout_trees_batched_with, fanout_trees_with, QueueKind, WorkspacePool};
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
 use proptest::prelude::*;
@@ -112,51 +109,6 @@ proptest! {
                         );
                         prop_assert_eq!(trees[i].path_to(v), reference.path_to(v));
                     }
-                }
-            }
-        }
-    }
-
-    /// Early-exit fan engines (the oracle recompute shape): each job's
-    /// settled targets carry exactly the reference's distance bits and
-    /// paths, for every queue discipline, serial and threaded.
-    #[test]
-    fn mirrored_fan_chunks_bit_identical_on_targets(seed in any::<u64>(), n in 10usize..40) {
-        let g = graph(seed, n);
-        let mut rng = Xoshiro256pp::new(seed ^ 0xA3);
-        let lengths = random_lengths(&g, &mut rng, 0);
-        let width = fan_width(g.node_count());
-        // A handful of jobs, each fanning to its own small target set.
-        let jobs_owned: Vec<(NodeId, Vec<NodeId>)> = (0..9)
-            .map(|_| {
-                let src = NodeId(rng.index(n) as u32);
-                let tgts: Vec<NodeId> =
-                    (0..3).map(|_| NodeId(rng.index(n) as u32)).collect();
-                (src, tgts)
-            })
-            .collect();
-        let jobs: Vec<(NodeId, &[NodeId])> =
-            jobs_owned.iter().map(|(s, t)| (*s, t.as_slice())).collect();
-        let pool = WorkspacePool::new();
-        for kind in QueueKind::ALL {
-            for policy in [Parallelism::Serial, threads(4)] {
-                let engines = run_fan_chunks_with(&g, &jobs, &lengths, &pool, kind, policy);
-                for (i, (src, tgts)) in jobs_owned.iter().enumerate() {
-                    let engine = &engines[i / width];
-                    let lane = i % width;
-                    let reference = dijkstra_adjacency(&g, *src, &lengths);
-                    for &t in tgts {
-                        prop_assert_eq!(
-                            engine.dist(lane, t).to_bits(),
-                            reference.dist(t).to_bits(),
-                            "fan-chunk target distance bits diverged ({:?})",
-                            kind
-                        );
-                        prop_assert_eq!(engine.path_to(lane, t), reference.path_to(t));
-                    }
-                }
-                for engine in engines {
-                    pool.give_back_batch(engine);
                 }
             }
         }

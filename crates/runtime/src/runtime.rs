@@ -177,7 +177,9 @@ impl Runtime {
         let set = SessionSet::new(vec![session.clone()]);
         let oracle: Box<dyn TreeOracle> = match self.routing {
             RoutingMode::FixedIp => Box::new(FixedIpOracle::new(&self.graph, &set)),
-            RoutingMode::Arbitrary => Box::new(DynamicOracle::new(&self.graph, &set)),
+            // One query per oracle: the epoch cache could never hit, so
+            // Prim's fans run straight to the members not yet attached.
+            RoutingMode::Arbitrary => Box::new(DynamicOracle::uncached(&self.graph, &set)),
         };
         let state = std::mem::replace(&mut self.state, placeholder_state());
         let mut engine = Engine::resume(

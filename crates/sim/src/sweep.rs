@@ -257,8 +257,8 @@ impl SweepResults {
 /// the master seed either way); cells solve under
 /// [`SweepConfig::parallelism`], each against its own freshly
 /// built oracle, with dynamic-routing workspaces leased from one shared
-/// pool. The pool inherits the same policy, so per-cell member fan-outs
-/// join the sweep's workers instead of spawning their own.
+/// pool. An oracle query runs on its cell's worker: the cells are the
+/// only parallel work units.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
     assert!(!cfg.scenarios.is_empty(), "no scenarios selected");
@@ -275,7 +275,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResults {
         (0..instances.len()).flat_map(|ii| cfg.solvers.iter().map(move |&k| (ii, k))).collect();
 
     let par = cfg.parallelism;
-    let pool = Arc::new(WorkspacePool::new().with_parallelism(par));
+    let pool = Arc::new(WorkspacePool::new());
     let solve_cell = |&(ii, kind): &(usize, SolverKind)| -> SweepRecord {
         let _span = omcf_telemetry::root_span("sweep.cell");
         let telemetry = omcf_telemetry::enabled();
