@@ -1,21 +1,22 @@
-//! Routing-core bench: CSR struct-of-arrays Dijkstra vs the frozen
-//! adjacency-list reference, across priority-queue disciplines and the
+//! Routing-core bench: CSR struct-of-arrays Dijkstra (with its one
+//! packed-key heap) vs the frozen adjacency-list reference, and the
 //! parallel member fan-out, on the large-scale (≥2k-node) registry
 //! substrates. Emits `BENCH_routing.json` at the workspace root — the
-//! measured CSR-vs-adjacency speedup the PR-5 refactor is gated on — and
-//! asserts every implementation agrees bit-for-bit before timing it.
+//! measured CSR-vs-adjacency speedup — and asserts every implementation
+//! agrees bit-for-bit before timing it. The CSR time keeps its historical
+//! key, `csr_binary_ms`, so `scripts/bench_check` compares it with the
+//! committed baseline.
 //!
 //! Lengths mimic a mid-solve FPTAS state: each edge starts at `1/c_e`
 //! and carries a random number of multiplicative `(1+ε)` growth steps,
-//! so distances are non-uniform and the Dial queue sees realistic
-//! bucket spreads.
+//! so distances are non-uniform.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use omcf_numerics::{jsonfmt, Rng64, Xoshiro256pp};
 use omcf_routing::reference::dijkstra_adjacency;
 use omcf_routing::{
-    dijkstra_with, fanout_trees, fanout_trees_batched, fanout_trees_serial, DijkstraWorkspace,
-    QueueKind, WorkspacePool,
+    dijkstra, fanout_trees, fanout_trees_batched, fanout_trees_serial, DijkstraWorkspace,
+    WorkspacePool,
 };
 use omcf_sim::registry;
 use omcf_sim::Scale;
@@ -82,8 +83,8 @@ fn run_adjacency(g: &Graph, sources: &[NodeId], lengths: &[f64]) -> f64 {
 }
 
 /// Full SSSP from every source through one reused CSR workspace.
-fn run_csr(g: &Graph, sources: &[NodeId], lengths: &[f64], kind: QueueKind) -> f64 {
-    let mut ws = DijkstraWorkspace::with_queue(g.node_count(), kind);
+fn run_csr(g: &Graph, sources: &[NodeId], lengths: &[f64]) -> f64 {
+    let mut ws = DijkstraWorkspace::new(g.node_count());
     let mut acc = 0.0;
     for &src in sources {
         ws.run(g, src, lengths);
@@ -137,11 +138,7 @@ fn bench_csr_vs_adjacency(c: &mut Criterion) {
     grp.bench_function("adjacency_reference", |b| {
         b.iter(|| black_box(run_adjacency(&g, &sources, &lengths)))
     });
-    for kind in QueueKind::ALL {
-        grp.bench_function(format!("csr_{}", kind.name()), |b| {
-            b.iter(|| black_box(run_csr(&g, &sources, &lengths, kind)))
-        });
-    }
+    grp.bench_function("csr_binary", |b| b.iter(|| black_box(run_csr(&g, &sources, &lengths))));
     grp.finish();
 }
 
@@ -150,92 +147,59 @@ fn bench_csr_vs_adjacency(c: &mut Criterion) {
 /// (sorted keys via `jsonfmt`).
 fn emit_bench_json(_c: &mut Criterion) {
     let mut fixture_objs: Vec<(String, String)> = Vec::new();
-    // Aggregate guard (summed across fixtures): the process-default queue
-    // kind must not be measurably the worst choice — a losing discipline
-    // can't silently stay the default. 1.3x + 5 ms absorbs timer noise on
-    // shared runners while still tripping on a real regression like the
-    // uncalibrated Dial queue this bench originally exposed.
-    let mut default_total_ms = 0.0;
-    let mut best_total_ms = 0.0;
     for (name, g) in fixtures() {
         let mut rng = Xoshiro256pp::new(SEED ^ 0xC5);
         let lengths = solver_lengths(&g, &mut rng);
         let sources = scattered_sources(&g, &mut rng);
 
-        // Bit-exactness gate before any timing: every queue kind and the
+        // Bit-exactness gate before any timing: the CSR Dijkstra and the
         // fan-out must reproduce the adjacency reference exactly.
         for &src in &sources {
             let reference = dijkstra_adjacency(&g, src, &lengths);
-            for kind in QueueKind::ALL {
-                let tree = dijkstra_with(&g, src, &lengths, kind);
-                for v in g.nodes() {
-                    assert_eq!(
-                        tree.dist(v).to_bits(),
-                        reference.dist(v).to_bits(),
-                        "{name}: {kind:?} diverged from the adjacency reference"
-                    );
-                }
+            let tree = dijkstra(&g, src, &lengths);
+            for v in g.nodes() {
+                assert_eq!(
+                    tree.dist(v).to_bits(),
+                    reference.dist(v).to_bits(),
+                    "{name}: CSR Dijkstra diverged from the adjacency reference"
+                );
             }
         }
         let pool = WorkspacePool::new();
-        let fanout = fanout_trees(&g, &sources, &lengths, &pool, QueueKind::Binary);
+        let fanout = fanout_trees(&g, &sources, &lengths, &pool);
         for (i, &src) in sources.iter().enumerate() {
             let reference = dijkstra_adjacency(&g, src, &lengths);
             for v in g.nodes() {
                 assert_eq!(fanout[i].dist(v).to_bits(), reference.dist(v).to_bits(), "{name}");
             }
         }
-        let batched = fanout_trees_batched(&g, &sources, &lengths, &pool, QueueKind::Binary);
+        let batched = fanout_trees_batched(&g, &sources, &lengths, &pool);
         assert_eq!(batched, fanout, "{name}: batched fan-out diverged from per-source");
 
         let (gr, so, le) = (&g, &sources, &lengths);
-        let mut routines: Vec<Routine<'_>> =
-            vec![("adjacency", Box::new(|| run_adjacency(gr, so, le)))];
-        for kind in QueueKind::ALL {
-            routines.push((kind.name(), Box::new(move || run_csr(gr, so, le, kind))));
-        }
-        routines.push((
-            "fanout_serial",
-            Box::new(|| {
-                fanout_trees_serial(&g, &sources, &lengths, &pool, QueueKind::Binary).len() as f64
-            }),
-        ));
-        routines.push((
-            "fanout",
-            Box::new(|| {
-                fanout_trees(&g, &sources, &lengths, &pool, QueueKind::Binary).len() as f64
-            }),
-        ));
-        routines.push((
-            "fanout_batched",
-            Box::new(|| {
-                fanout_trees_batched(&g, &sources, &lengths, &pool, QueueKind::Binary).len() as f64
-            }),
-        ));
+        let mut routines: Vec<Routine<'_>> = vec![
+            ("adjacency", Box::new(|| run_adjacency(gr, so, le))),
+            ("csr", Box::new(|| run_csr(gr, so, le))),
+            ("fanout_serial", Box::new(|| fanout_trees_serial(gr, so, le, &pool).len() as f64)),
+            ("fanout", Box::new(|| fanout_trees(gr, so, le, &pool).len() as f64)),
+            ("fanout_batched", Box::new(|| fanout_trees_batched(gr, so, le, &pool).len() as f64)),
+        ];
         let medians = measure_all(&mut routines);
         let med = |label: &str| {
             medians[routines.iter().position(|(l, _)| *l == label).expect("labelled routine")]
         };
         let adjacency_ms = med("adjacency");
-        let csr_binary_ms = med("binary");
+        let csr_binary_ms = med("csr");
         let fanout_serial_ms = med("fanout_serial");
         let fanout_ms = med("fanout");
         let batch_fanout_ms = med("fanout_batched");
-        default_total_ms += med(QueueKind::default_kind().name());
-        best_total_ms += QueueKind::ALL.iter().map(|k| med(k.name())).fold(f64::INFINITY, f64::min);
-        let mut obj = jsonfmt::JsonObject::new()
+        let obj = jsonfmt::JsonObject::new()
             .field("nodes", g.node_count().to_string())
             .field("edges", g.edge_count().to_string())
             .field("sources", sources.len().to_string())
             .field("adjacency_ms", jsonfmt::fixed(adjacency_ms, 3))
-            .field("bit_identical", "true");
-        for (i, kind) in QueueKind::ALL.iter().enumerate() {
-            obj = obj.field(
-                format!("csr_{}_ms", kind.name()).as_str(),
-                jsonfmt::fixed(medians[1 + i], 3),
-            );
-        }
-        obj = obj
+            .field("bit_identical", "true")
+            .field("csr_binary_ms", jsonfmt::fixed(csr_binary_ms, 3))
             .field("batch_fanout_ms", jsonfmt::fixed(batch_fanout_ms, 3))
             // `_speedup` keys are gated *leniently* by scripts/bench_check:
             // they only fail the build when the new path is slower than the
@@ -247,7 +211,7 @@ fn emit_bench_json(_c: &mut Criterion) {
             .field("fanout_speedup", jsonfmt::fixed(fanout_serial_ms / fanout_ms, 3))
             .field("speedup_csr_vs_adjacency", jsonfmt::fixed(adjacency_ms / csr_binary_ms, 3));
         println!(
-            "bench routing_csr: {name} adjacency {adjacency_ms:.1} ms vs csr(binary) \
+            "bench routing_csr: {name} adjacency {adjacency_ms:.1} ms vs csr \
              {csr_binary_ms:.1} ms ({:.2}x), fanout {fanout_ms:.1} ms \
              (serial {fanout_serial_ms:.1} ms, {:.2}x), batched {batch_fanout_ms:.1} ms \
              ({:.2}x vs serial)",
@@ -257,13 +221,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         );
         fixture_objs.push((name.to_string(), obj.pretty(1)));
     }
-    assert!(
-        default_total_ms <= best_total_ms * 1.3 + 5.0,
-        "default queue kind {:?} is measurably the worst: {default_total_ms:.1} ms total vs \
-         best-kind total {best_total_ms:.1} ms — recalibrate or change the default",
-        QueueKind::default_kind()
-    );
-
     let mut top = jsonfmt::JsonObject::new()
         .text("bench", "routing_csr")
         .field("seed", SEED.to_string())

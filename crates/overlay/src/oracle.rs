@@ -35,7 +35,7 @@
 use crate::epoch::{EdgeEpochs, LengthView};
 use crate::session::SessionSet;
 use crate::tree::{OverlayHop, OverlayTree};
-use omcf_routing::{DijkstraWorkspace, FixedRoutes, Path, QueueKind, WorkspacePool};
+use omcf_routing::{DijkstraWorkspace, FixedRoutes, Path, WorkspacePool};
 use omcf_telemetry::{stats, OwnedCounter};
 use omcf_topology::{Graph, NodeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -424,7 +424,7 @@ impl DynState {
 /// trees of full per-member recomputation bit for bit. A query runs
 /// sequentially, and batched [`TreeOracle::min_trees_view`] queries answer
 /// their sessions one by one, in order. All Dijkstras run the CSR core
-/// with the oracle's configured [`QueueKind`].
+/// and its packed-key heap.
 #[derive(Debug)]
 pub struct DynamicOracle {
     g: Graph,
@@ -439,9 +439,6 @@ pub struct DynamicOracle {
     /// cross-instance pool; otherwise the oracle owns a private one so
     /// scratch still persists across calls.
     pool: Arc<WorkspacePool>,
-    /// Priority-queue discipline of every Dijkstra this oracle runs
-    /// (results are discipline-independent; see `docs/PERF.md`).
-    queue: QueueKind,
 }
 
 impl Clone for DynamicOracle {
@@ -455,7 +452,6 @@ impl Clone for DynamicOracle {
             misses: OwnedCounter::new(&stats::ORACLE_DYNAMIC_MISSES),
             bypass: BypassGauge::sized_for(total_fans(&self.sessions)),
             pool: Arc::clone(&self.pool),
-            queue: self.queue,
         }
     }
 }
@@ -476,23 +472,7 @@ impl DynamicOracle {
             misses: OwnedCounter::new(&stats::ORACLE_DYNAMIC_MISSES),
             bypass: BypassGauge::sized_for(total_fans(sessions)),
             pool: pool.unwrap_or_else(|| Arc::new(WorkspacePool::new())),
-            queue: QueueKind::default_kind(),
         }
-    }
-
-    /// Selects the priority-queue discipline for this oracle's Dijkstras
-    /// (default: binary heap). Every discipline computes bit-identical
-    /// trees; pick per `docs/PERF.md` guidance.
-    #[must_use]
-    pub fn with_queue_kind(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
-        self
-    }
-
-    /// The oracle's priority-queue discipline.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue
     }
 
     /// Creates the oracle over a clone of the physical graph, with the
@@ -569,7 +549,7 @@ impl DynamicOracle {
             self.misses.inc();
             open.clear();
             open.extend(members.iter().zip(in_tree).filter(|(_, &t)| !t).map(|(&v, _)| v));
-            let mut ws = self.pool.lease_with(n, self.queue);
+            let mut ws = self.pool.lease(n);
             ws.run_targets(&self.g, members[a], lengths, &open);
             for (w, &v) in row.iter_mut().zip(members) {
                 *w = ws.dist(v);
@@ -620,7 +600,7 @@ impl DynamicOracle {
         }
         self.misses.inc();
         self.bypass.on_miss();
-        let mut ws = self.pool.lease_with(self.g.node_count(), self.queue);
+        let mut ws = self.pool.lease(self.g.node_count());
         ws.run_targets(&self.g, src, lengths, members);
         let fan = entry.get_or_insert_with(FanCache::default);
         fan.dists.clear();
@@ -952,31 +932,6 @@ mod tests {
         let _ = oracle.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         assert_eq!(oracle.cache_stats().hits, 2);
         assert!(!oracle.cache_bypassed());
-    }
-
-    #[test]
-    fn queue_kinds_compute_identical_trees() {
-        // The pluggable queues must be invisible in results: same overlay
-        // trees from every discipline, on both the batch-fan-out path and
-        // the epoch-cached path.
-        let g = canned::grid(4, 4, 10.0);
-        let sessions =
-            SessionSet::new(vec![Session::new(vec![NodeId(0), NodeId(6), NodeId(15)], 1.0)]);
-        let mut lengths = unit_lengths(&g);
-        for (i, l) in lengths.iter_mut().enumerate() {
-            *l += (i % 5) as f64 * 0.25;
-        }
-        let reference = DynamicOracle::new(&g, &sessions);
-        let t_ref = reference.min_tree(0, &lengths);
-        let epochs = EdgeEpochs::new(g.edge_count());
-        let v_ref = reference.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
-        for kind in QueueKind::ALL {
-            let oracle = DynamicOracle::new(&g, &sessions).with_queue_kind(kind);
-            assert_eq!(oracle.queue_kind(), kind);
-            assert_eq!(oracle.min_tree(0, &lengths), t_ref, "{kind:?} batch path");
-            let view = LengthView::with_epochs(&lengths, &epochs);
-            assert_eq!(oracle.min_tree_view(0, view), v_ref, "{kind:?} epoch path");
-        }
     }
 
     #[test]

@@ -20,16 +20,16 @@
 //! single-source run, and distances, parents, paths and trees are
 //! **bit-identical** to the per-source [`DijkstraWorkspace`] loop no
 //! matter how sources are grouped into batches (`tests/batch_prop.rs`
-//! pins this across graphs × seeds × K × queue kinds). Early exit
+//! pins this across graphs × seeds × K). Early exit
 //! mirrors the single-source contract per lane: when a lane's last
 //! target settles, the lane stops relaxing (its remaining queue entries
 //! are skipped), leaving even its tentative values identical to the
 //! early-exited single-source run.
 //!
-//! The shared queue stays compatible with the Dial discipline's
-//! monotonicity argument: every push still carries a distance ≥ the
-//! distance just popped (relaxation only adds non-negative lengths), so
-//! the global cursor never moves backwards even though lanes interleave.
+//! The shared queue is the crate's one heap ([`DijkstraHeap`]) with
+//! the packed `(lane, node)` word as its payload: its `u128` key
+//! `(dist bits << 64) | payload` orders exactly like `(dist, lane,
+//! node)`, so the lane order costs no extra comparison.
 //!
 //! ## When batching degrades — measured
 //!
@@ -52,15 +52,15 @@
 //! [`DijkstraWorkspace`].
 //!
 //! [`DijkstraWorkspace`]: crate::DijkstraWorkspace
+//! [`DijkstraHeap`]: crate::queue::DijkstraHeap
 
 use crate::dijkstra::ShortestPathTree;
 use crate::path::Path;
-use crate::queue::{DijkstraQueue, QueueKind, QueueOps};
+use crate::queue::DijkstraHeap;
 use crate::slots::{ArcMirror, ArcWeights, EdgeIndexed, NodeSlot, NO_PARENT};
 use crate::workspace::ShortestPath;
 use omcf_telemetry::stats;
 use omcf_topology::{Graph, NodeId};
-use std::collections::BinaryHeap;
 
 /// Default lane-chunk width for batched fan-outs: sources are grouped
 /// into batches of this many lanes, so one node's lane row (8 × `f64`
@@ -151,31 +151,24 @@ pub struct BatchDijkstra {
     /// cost three cache lines.
     slots: Vec<NodeSlot>,
     gen: u32,
-    queue: DijkstraQueue<u64>,
+    queue: DijkstraHeap,
     /// Per-lane early-exit bookkeeping, kept allocated across runs.
     pending: Vec<usize>,
     lane_done: Vec<bool>,
 }
 
 impl BatchDijkstra {
-    /// Creates a batch engine for graphs of `n` nodes with the default
-    /// binary-heap queue. Lane storage is allocated lazily on first run.
+    /// Creates a batch engine for graphs of `n` nodes. Lane storage is
+    /// allocated lazily on first run.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self::with_queue(n, QueueKind::Binary)
-    }
-
-    /// Creates a batch engine with an explicit queue discipline. Every
-    /// [`QueueKind`] computes bit-identical results.
-    #[must_use]
-    pub fn with_queue(n: usize, kind: QueueKind) -> Self {
         Self {
             n,
             k: 0,
             sources: Vec::new(),
             slots: Vec::new(),
             gen: 0,
-            queue: DijkstraQueue::new(kind),
+            queue: DijkstraHeap::new(),
             pending: Vec::new(),
             lane_done: Vec::new(),
         }
@@ -191,21 +184,6 @@ impl BatchDijkstra {
     #[must_use]
     pub fn lanes(&self) -> usize {
         self.k
-    }
-
-    /// The priority-queue discipline this engine runs with.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Switches the queue discipline (no-op when it already matches);
-    /// results are discipline-independent, so pooled engines can be
-    /// retargeted freely.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        if self.queue.kind() != kind {
-            self.queue = DijkstraQueue::new(kind);
-        }
     }
 
     #[inline]
@@ -324,37 +302,20 @@ impl BatchDijkstra {
         assert_eq!(self.n, g.node_count(), "batch engine sized for a different graph");
         debug_assert!(lengths.iter().all(|l| *l >= 0.0 && l.is_finite()));
         self.begin(sources);
-        // Same trick as the single-source workspace: swap the queue into
-        // a local and dispatch the discipline once, so the hot loop is
-        // monomorphized per concrete queue type.
-        let mut queue =
-            std::mem::replace(&mut self.queue, DijkstraQueue::Binary(BinaryHeap::new()));
-        queue.prepare(lengths);
+        // Same as the single-source workspace: run on a local heap
+        // (moved out and back, allocation kept), cleared of any entries
+        // an early exit left behind.
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
         if self.k == 1 {
             // Single lane: `pack(0, node)` is just the node id, so the
             // shared-queue order degenerates to plain `(dist, node)` and
             // the lane arithmetic is pure overhead — run the
             // specialized loop instead (identical results, ~15% less
             // constant factor; see the module docs).
-            match &mut queue {
-                DijkstraQueue::Binary(q) => self.run_loop_single(g, weights, targets, q),
-                DijkstraQueue::Quaternary(q) => self.run_loop_single(g, weights, targets, q),
-                DijkstraQueue::Dial(q) => self.run_loop_single(g, weights, targets, q),
-                DijkstraQueue::Auto(a) if a.use_dial => {
-                    self.run_loop_single(g, weights, targets, &mut a.dial);
-                }
-                DijkstraQueue::Auto(a) => self.run_loop_single(g, weights, targets, &mut a.heap),
-            }
+            self.run_loop_single(g, weights, targets, &mut queue);
         } else {
-            match &mut queue {
-                DijkstraQueue::Binary(q) => self.run_loop(g, weights, targets, q),
-                DijkstraQueue::Quaternary(q) => self.run_loop(g, weights, targets, q),
-                DijkstraQueue::Dial(q) => self.run_loop(g, weights, targets, q),
-                DijkstraQueue::Auto(a) if a.use_dial => {
-                    self.run_loop(g, weights, targets, &mut a.dial);
-                }
-                DijkstraQueue::Auto(a) => self.run_loop(g, weights, targets, &mut a.heap),
-            }
+            self.run_loop(g, weights, targets, &mut queue);
         }
         self.queue = queue;
     }
@@ -365,12 +326,12 @@ impl BatchDijkstra {
     /// relaxation order and the early-exit point are exactly the
     /// generic loop's lane-0 behaviour, so results stay bit-identical —
     /// this only removes the lane indirection from the hot loop.
-    fn run_loop_single<W: ArcWeights, Q: QueueOps<u64>>(
+    fn run_loop_single<W: ArcWeights>(
         &mut self,
         g: &Graph,
         weights: W,
         targets: &LaneTargets<'_>,
-        queue: &mut Q,
+        queue: &mut DijkstraHeap,
     ) {
         // Same batching as the workspace loop: events in locals, one
         // flush, one relaxed load when disabled.
@@ -394,10 +355,10 @@ impl BatchDijkstra {
                 pending += 1;
             }
         }
-        queue.push_entry(0.0, u64::from(self.sources[0].0));
+        queue.push(0.0, u64::from(self.sources[0].0));
         pushes += 1;
         let csr = g.csr();
-        while let Some((d, payload)) = queue.pop_entry() {
+        while let Some((d, payload)) = queue.pop() {
             pops += 1;
             let u = NodeId(payload as u32);
             let su = self.slots[u.idx()].state;
@@ -435,7 +396,7 @@ impl BatchDijkstra {
                     if sv < gen {
                         slot.state = gen;
                     }
-                    queue.push_entry(nd, u64::from(v.0));
+                    queue.push(nd, u64::from(v.0));
                     pushes += 1;
                 }
             }
@@ -448,12 +409,12 @@ impl BatchDijkstra {
         }
     }
 
-    fn run_loop<W: ArcWeights, Q: QueueOps<u64>>(
+    fn run_loop<W: ArcWeights>(
         &mut self,
         g: &Graph,
         weights: W,
         targets: &LaneTargets<'_>,
-        queue: &mut Q,
+        queue: &mut DijkstraHeap,
     ) {
         let telemetry = omcf_telemetry::enabled();
         let mut pops = 0u64;
@@ -484,7 +445,7 @@ impl BatchDijkstra {
             }
         }
         for (lane, &src) in self.sources.iter().enumerate() {
-            queue.push_entry(0.0, pack(lane, src));
+            queue.push(0.0, pack(lane, src));
             pushes += 1;
         }
         // One CSR stream serves all K frontiers: each pop carries its
@@ -494,7 +455,7 @@ impl BatchDijkstra {
         // therefore its results, are bit-identical to its own
         // single-source run.
         let csr = g.csr();
-        while let Some((d, payload)) = queue.pop_entry() {
+        while let Some((d, payload)) = queue.pop() {
             pops += 1;
             let (lane, u) = unpack(payload);
             if has_targets && self.lane_done[lane] {
@@ -545,7 +506,7 @@ impl BatchDijkstra {
                     if sv < gen {
                         slot.state = gen;
                     }
-                    queue.push_entry(nd, pack(lane, v));
+                    queue.push(nd, pack(lane, v));
                     pushes += 1;
                 }
             }

@@ -20,7 +20,6 @@
 //! [`fanout_trees_with`] accepts it explicitly.
 
 use crate::dijkstra::ShortestPathTree;
-use crate::queue::QueueKind;
 use crate::workspace::WorkspacePool;
 use omcf_numerics::Parallelism;
 use omcf_telemetry::stats;
@@ -31,17 +30,15 @@ use rayon::prelude::*;
 /// under `lengths`, returning trees in `sources` order, under the
 /// execution policy carried by `pool`
 /// ([`WorkspacePool::parallelism`]). Workspaces come from (and return
-/// to) `pool`; `kind` selects the queue discipline (results are
-/// identical for every kind).
+/// to) `pool`.
 #[must_use]
 pub fn fanout_trees(
     g: &Graph,
     sources: &[NodeId],
     lengths: &[f64],
     pool: &WorkspacePool,
-    kind: QueueKind,
 ) -> Vec<ShortestPathTree> {
-    fanout_trees_with(g, sources, lengths, pool, kind, pool.parallelism())
+    fanout_trees_with(g, sources, lengths, pool, pool.parallelism())
 }
 
 /// [`fanout_trees`] with an explicit [`Parallelism`] policy (overriding
@@ -53,11 +50,10 @@ pub fn fanout_trees_with(
     sources: &[NodeId],
     lengths: &[f64],
     pool: &WorkspacePool,
-    kind: QueueKind,
     parallelism: Parallelism,
 ) -> Vec<ShortestPathTree> {
     if parallelism.is_serial() || sources.len() <= 1 {
-        return fanout_trees_serial(g, sources, lengths, pool, kind);
+        return fanout_trees_serial(g, sources, lengths, pool);
     }
     // Gather the lengths into arc order once for the whole fan: every
     // worker's relax loop then streams one contiguous array instead of
@@ -72,7 +68,7 @@ pub fn fanout_trees_with(
         sources
             .par_iter()
             .map(|&src| {
-                let mut ws = pool.lease_with(g.node_count(), kind);
+                let mut ws = pool.lease(g.node_count());
                 ws.run_arcs(g, src, lengths, &mirror);
                 let tree = ws.to_tree();
                 pool.give_back(ws);
@@ -100,9 +96,8 @@ pub fn fanout_trees_batched(
     sources: &[NodeId],
     lengths: &[f64],
     pool: &WorkspacePool,
-    kind: QueueKind,
 ) -> Vec<ShortestPathTree> {
-    fanout_trees_batched_with(g, sources, lengths, pool, kind, pool.parallelism())
+    fanout_trees_batched_with(g, sources, lengths, pool, pool.parallelism())
 }
 
 /// [`fanout_trees_batched`] with an explicit [`Parallelism`] policy: the
@@ -114,11 +109,10 @@ pub fn fanout_trees_batched_with(
     sources: &[NodeId],
     lengths: &[f64],
     pool: &WorkspacePool,
-    kind: QueueKind,
     parallelism: Parallelism,
 ) -> Vec<ShortestPathTree> {
     if sources.len() <= 1 {
-        return fanout_trees_serial(g, sources, lengths, pool, kind);
+        return fanout_trees_serial(g, sources, lengths, pool);
     }
     let width = crate::batch::fan_width(g.node_count());
     // One arc-order gather serves every chunk of the fan (shared by
@@ -129,7 +123,7 @@ pub fn fanout_trees_batched_with(
     stats::ROUTING_MIRROR_ARCS.add(mirror.len() as u64);
     let mirror = mirror;
     let run_chunk = |chunk: &[NodeId]| -> Vec<ShortestPathTree> {
-        let mut batch = pool.lease_batch(g.node_count(), kind);
+        let mut batch = pool.lease_batch(g.node_count());
         batch.run_arcs(g, chunk, lengths, &mirror);
         let trees = (0..chunk.len()).map(|lane| batch.to_tree(lane)).collect();
         pool.give_back_batch(batch);
@@ -164,12 +158,11 @@ pub fn fanout_trees_serial(
     sources: &[NodeId],
     lengths: &[f64],
     pool: &WorkspacePool,
-    kind: QueueKind,
 ) -> Vec<ShortestPathTree> {
     sources
         .iter()
         .map(|&src| {
-            let mut ws = pool.lease_with(g.node_count(), kind);
+            let mut ws = pool.lease(g.node_count());
             ws.run(g, src, lengths);
             let tree = ws.to_tree();
             pool.give_back(ws);
@@ -190,7 +183,7 @@ mod tests {
         let lengths: Vec<f64> = (0..g.edge_count()).map(|e| 1.0 + (e % 3) as f64).collect();
         let sources = [NodeId(0), NodeId(7), NodeId(24), NodeId(7)];
         let pool = WorkspacePool::new();
-        let trees = fanout_trees(&g, &sources, &lengths, &pool, QueueKind::Binary);
+        let trees = fanout_trees(&g, &sources, &lengths, &pool);
         assert_eq!(trees.len(), sources.len());
         for (i, &src) in sources.iter().enumerate() {
             let fresh = dijkstra(&g, src, &lengths);
@@ -209,10 +202,8 @@ mod tests {
         let lengths: Vec<f64> = (0..g.edge_count()).map(|e| 0.5 + (e % 5) as f64).collect();
         let sources: Vec<NodeId> = (0..12).step_by(3).map(NodeId).collect();
         let pool = WorkspacePool::new();
-        for kind in QueueKind::ALL {
-            let par = fanout_trees(&g, &sources, &lengths, &pool, kind);
-            let ser = fanout_trees_serial(&g, &sources, &lengths, &pool, kind);
-            assert_eq!(par, ser, "{kind:?}");
-        }
+        let par = fanout_trees(&g, &sources, &lengths, &pool);
+        let ser = fanout_trees_serial(&g, &sources, &lengths, &pool);
+        assert_eq!(par, ser);
     }
 }

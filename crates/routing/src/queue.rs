@@ -1,512 +1,64 @@
-//! Pluggable priority queues for the Dijkstra hot path.
+//! The Dijkstra priority queue: one `std` binary heap over packed
+//! `u128` keys.
 //!
-//! All disciplines realize **exactly the same total order** — pop the
-//! minimum `(dist, payload)` pair, distances ascending, ties broken
-//! toward the smaller payload — so swapping the queue never changes a
-//! single relaxation and the computed trees stay bit-identical (pinned by
-//! `tests/prop.rs`). What changes is the constant factor:
+//! Every Dijkstra in the crate pops the minimum `(dist, payload)` pair —
+//! distances ascending, ties broken toward the smaller payload. The heap
+//! realizes that order with a single integer compare: each entry is the
+//! key `(dist.to_bits() << 64) | payload`. Dijkstra distances are
+//! non-negative finite sums of non-negative lengths (`0.0 + x` never
+//! yields `-0.0`), and for such floats the IEEE-754 bit pattern orders
+//! exactly like the value, with equal values having equal bits. So the
+//! high half compares like the distance, the low half breaks ties by the
+//! payload, and the pop order — hence every relaxation and tie-break — is
+//! the same as a lexicographic `(dist, payload)` comparison (pinned
+//! against a sorted model in the tests below and against the frozen
+//! [`crate::reference`] Dijkstra in `tests/prop.rs`).
 //!
-//! * [`QueueKind::Binary`] — `std::collections::BinaryHeap`. The safe
-//!   default; best general-purpose behaviour.
-//! * [`QueueKind::Quaternary`] — a 4-ary array heap. Shallower than the
-//!   binary heap (¼ the levels per sift-down) and its four children share
-//!   one cache line pair, which favours the decrease-heavy access pattern
-//!   of sparse graphs.
-//! * [`QueueKind::Dial`] — a bucket queue in the spirit of Dial's
-//!   algorithm, for the **bounded-length regimes** the Garg–Könemann
-//!   engine guarantees: lengths grow multiplicatively from `1/c_e` within
-//!   a bounded dynamic range per phase, so distances fall into a modest
-//!   number of buckets. Buckets are visited in order and each bucket is a
-//!   tiny binary heap, preserving the exact global pop order (unlike
-//!   classic Dial, which needs integer lengths). The monotonicity
-//!   argument: a relaxation pushed after popping distance `d` has
-//!   distance `≥ d`, and the bucket index is monotone in the distance, so
-//!   no push ever lands before the cursor. The bucket width is
-//!   *calibrated* per run from the live length distribution (the mean,
-//!   clamped below by `max/256`): the old `width = max` choice collapsed
-//!   the whole frontier into a couple of giant bucket-heaps, which is why
-//!   `csr_dial` used to lose to the binary heap on every BENCH_routing
-//!   scenario.
-//! * [`QueueKind::Auto`] — resolves to Dial or Binary per run from the
-//!   same length statistics: Dial when the dynamic range `max/mean` is
-//!   bounded (the engine's scaled-length regime), Binary otherwise. The
-//!   choice is made once in [`DijkstraQueue::prepare`], so the inner loop
-//!   still dispatches monomorphically.
+//! The payload is a `u64`: the single-source workspace queues bare node
+//! ids, while the batched multi-source path ([`crate::BatchDijkstra`])
+//! queues `(lane, node)` packed into a `u64`, so one shared queue orders
+//! all K frontiers by `(dist, lane, node)`.
 //!
-//! Queues are generic over the payload `P` (defaulting to [`NodeId`]):
-//! the single-source workspace queues bare nodes, while the batched
-//! multi-source path ([`crate::BatchDijkstra`]) queues `(lane, node)`
-//! packed into a `u64` so one shared queue orders all K frontiers by
-//! `(dist, lane, node)`.
-//!
-//! See `docs/PERF.md` for selection guidance and measured numbers.
+//! See `docs/PERF.md` ("The heap") for measured numbers and the
+//! alternatives that lost to it.
 
-use omcf_topology::NodeId;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which priority-queue discipline a Dijkstra workspace uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum QueueKind {
-    /// `std` binary heap (default).
-    Binary,
-    /// 4-ary array heap.
-    Quaternary,
-    /// Bucket/Dial queue for bounded-length regimes.
-    Dial,
-    /// Picks Dial or Binary per run from the length distribution.
-    Auto,
+/// Min-heap of `(dist, payload)` entries keyed by one packed `u128`.
+#[derive(Debug, Default)]
+pub struct DijkstraHeap {
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
-impl QueueKind {
-    /// Every queue kind, in presentation order.
-    pub const ALL: [QueueKind; 4] =
-        [QueueKind::Binary, QueueKind::Quaternary, QueueKind::Dial, QueueKind::Auto];
-
-    /// The accepted spellings, for CLI error messages.
-    pub const VOCABULARY: &'static str = "`binary`, `quaternary`, `dial`, or `auto`";
-
-    /// Stable lowercase name (used in the bench schemas).
+impl DijkstraHeap {
+    /// An empty heap.
     #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Binary => "binary",
-            Self::Quaternary => "quaternary",
-            Self::Dial => "dial",
-            Self::Auto => "auto",
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Parses a (case-insensitive) name — the inverse of [`Self::name`],
-    /// for config/CLI surfaces that select a discipline by string.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.iter().copied().find(|k| k.name().eq_ignore_ascii_case(s.trim()))
-    }
-
-    /// Pins the process-wide default discipline consumed by
-    /// [`Self::default_kind`] — the hook behind `repro --queue`. Only the
-    /// first call wins (returns `false` once a default is already pinned);
-    /// drivers should call it before constructing any oracle. Results are
-    /// discipline-independent, so this only changes constant factors.
-    pub fn set_process_default(kind: QueueKind) -> bool {
-        PROCESS_DEFAULT.set(kind).is_ok()
-    }
-
-    /// The discipline components use when none is configured explicitly:
-    /// the pinned process default, or [`QueueKind::Binary`].
-    #[must_use]
-    pub fn default_kind() -> QueueKind {
-        PROCESS_DEFAULT.get().copied().unwrap_or(QueueKind::Binary)
-    }
-}
-
-/// See [`QueueKind::set_process_default`].
-static PROCESS_DEFAULT: std::sync::OnceLock<QueueKind> = std::sync::OnceLock::new();
-
-/// Heap entry: `(tentative distance, payload)`, with the distance stored
-/// as its raw IEEE-754 bits. Dijkstra distances are always non-negative
-/// finite sums of non-negative lengths (`0.0 + x` never produces `-0.0`),
-/// and for non-negative floats the bit pattern orders exactly like the
-/// value — so `(bits, payload)` lexicographic integer comparison realizes
-/// the same `(dist, payload)` total order as float comparison, one branch
-/// cheaper per sift step in every discipline. Equal values have equal
-/// bits in this range, so even tie-breaking is unchanged and pop order is
-/// bit-identical. Public only because the [`DijkstraQueue::Binary`]
-/// variant exposes its `BinaryHeap`; construct through
-/// [`DijkstraQueue::push`].
-#[derive(Debug, PartialEq)]
-pub struct HeapItem<P = NodeId> {
-    bits: u64,
-    node: P,
-}
-
-impl<P: Copy + Ord> Eq for HeapItem<P> {}
-
-impl<P: Copy + Ord> Ord for HeapItem<P> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on distance bits, then on payload for determinism.
-        other.bits.cmp(&self.bits).then_with(|| other.node.cmp(&self.node))
-    }
-}
-
-impl<P: Copy + Ord> PartialOrd for HeapItem<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// `(dist bits, payload)` strict-weak-order "less" shared by the
-/// array-based queues: distance ascending, payload breaking ties (see
-/// [`HeapItem`] for why integer bit comparison is order-exact here).
-#[inline]
-fn less<P: Copy + Ord>(a: (u64, P), b: (u64, P)) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
-}
-
-/// 4-ary min-heap over `(dist, payload)` pairs in one flat array.
-#[derive(Debug)]
-pub struct QuaternaryHeap<P = NodeId> {
-    items: Vec<(u64, P)>,
-}
-
-impl<P> Default for QuaternaryHeap<P> {
-    fn default() -> Self {
-        Self { items: Vec::new() }
-    }
-}
-
-impl<P: Copy + Ord> QuaternaryHeap<P> {
-    const ARITY: usize = 4;
-
-    fn push(&mut self, item: (u64, P)) {
-        self.items.push(item);
-        let mut i = self.items.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / Self::ARITY;
-            if less(self.items[i], self.items[parent]) {
-                self.items.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, P)> {
-        let last = self.items.len().checked_sub(1)?;
-        self.items.swap(0, last);
-        let top = self.items.pop().expect("nonempty");
-        let n = self.items.len();
-        let mut i = 0;
-        loop {
-            let first_child = i * Self::ARITY + 1;
-            if first_child >= n {
-                break;
-            }
-            let mut best = first_child;
-            for c in (first_child + 1)..(first_child + Self::ARITY).min(n) {
-                if less(self.items[c], self.items[best]) {
-                    best = c;
-                }
-            }
-            if less(self.items[best], self.items[i]) {
-                self.items.swap(i, best);
-                i = best;
-            } else {
-                break;
-            }
-        }
-        Some(top)
-    }
-
-    fn clear(&mut self) {
-        self.items.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-}
-
-/// Binary sift-up/down over a bucket's `(dist, payload)` vector (the Dial
-/// queue's per-bucket heap).
-fn bucket_push<P: Copy + Ord>(bucket: &mut Vec<(u64, P)>, item: (u64, P)) {
-    bucket.push(item);
-    let mut i = bucket.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if less(bucket[i], bucket[parent]) {
-            bucket.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-fn bucket_pop<P: Copy + Ord>(bucket: &mut Vec<(u64, P)>) -> Option<(u64, P)> {
-    let last = bucket.len().checked_sub(1)?;
-    bucket.swap(0, last);
-    let top = bucket.pop().expect("nonempty");
-    let n = bucket.len();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        if l >= n {
-            break;
-        }
-        let best = if r < n && less(bucket[r], bucket[l]) { r } else { l };
-        if less(bucket[best], bucket[i]) {
-            bucket.swap(i, best);
-            i = best;
-        } else {
-            break;
-        }
-    }
-    Some(top)
-}
-
-/// Forward-only bucket queue: bucket `⌊dist/width⌋`, cursor advancing
-/// monotonically, exact `(dist, payload)` order within a bucket via a
-/// small binary heap. Any positive width is order-correct (the bucket
-/// index is clamped to the cursor, so monotone pushes never land behind
-/// it); [`DijkstraQueue::prepare`] calibrates it from the run's length
-/// distribution so the buckets stay small.
-#[derive(Debug)]
-pub struct DialQueue<P = NodeId> {
-    width_inv: f64,
-    buckets: Vec<Vec<(u64, P)>>,
-    cursor: usize,
-    len: usize,
-}
-
-impl<P> Default for DialQueue<P> {
-    fn default() -> Self {
-        Self { width_inv: 1.0, buckets: Vec::new(), cursor: 0, len: 0 }
-    }
-}
-
-impl<P: Copy + Ord> DialQueue<P> {
-    /// Sets the bucket width for the coming run (falls back to 1 when
-    /// the width is zero, i.e. all lengths are zero) and resets.
-    fn prepare(&mut self, width: f64) {
-        debug_assert!(width.is_finite() && width >= 0.0);
-        self.width_inv = if width > 0.0 { width.recip() } else { 1.0 };
-        self.clear();
-    }
-
-    fn bucket_index(&self, dist: f64) -> usize {
-        // Monotone in `dist` (one correctly-rounded multiply, then a
-        // truncation), so pushes after a pop at distance d — which have
-        // distance ≥ d — can never map before the cursor.
-        let idx = (dist * self.width_inv) as usize;
-        idx.max(self.cursor)
-    }
-
-    fn push(&mut self, item: (u64, P)) {
-        let idx = self.bucket_index(f64::from_bits(item.0));
-        if idx >= self.buckets.len() {
-            self.buckets.resize_with(idx + 1, Vec::new);
-        }
-        bucket_push(&mut self.buckets[idx], item);
-        self.len += 1;
-    }
-
-    fn pop(&mut self) -> Option<(u64, P)> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor += 1;
-        }
-        self.len -= 1;
-        bucket_pop(&mut self.buckets[self.cursor])
-    }
-
-    fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.cursor = 0;
-        self.len = 0;
-    }
-}
-
-/// The [`QueueKind::Auto`] state: both disciplines live here and
-/// [`DijkstraQueue::prepare`] flips `use_dial` per run, so the choice is
-/// made once per run and the inner loop still runs monomorphically on
-/// whichever queue was picked.
-#[derive(Debug)]
-pub struct AutoQueue<P = NodeId> {
-    pub(crate) heap: BinaryHeap<HeapItem<P>>,
-    pub(crate) dial: DialQueue<P>,
-    pub(crate) use_dial: bool,
-}
-
-impl<P> Default for AutoQueue<P> {
-    fn default() -> Self {
-        Self { heap: BinaryHeap::new(), dial: DialQueue::default(), use_dial: false }
-    }
-}
-
-/// `max/mean` length ratio below which [`QueueKind::Auto`] picks the
-/// Dial queue. A bounded ratio means the calibrated bucket width keeps
-/// every bucket small (the engine's scaled-length regime); a long-tailed
-/// distribution makes the bucket walk pay more than the heap saves.
-const AUTO_DIAL_MAX_OVER_MEAN: f64 = 8.0;
-
-/// `(max, mean)` of a length array in one pass — the statistics both the
-/// Dial calibration and the Auto choice key off.
-fn length_stats(lengths: &[f64]) -> (f64, f64) {
-    let (mut max, mut sum) = (0.0f64, 0.0f64);
-    for &l in lengths {
-        max = max.max(l);
-        sum += l;
-    }
-    let mean = if lengths.is_empty() { 0.0 } else { sum / lengths.len() as f64 };
-    (max, mean)
-}
-
-/// The calibrated Dial bucket width for a run: the mean length, clamped
-/// below by `max/256` so a heavily skewed distribution cannot explode the
-/// bucket count. Purely a performance choice — any width pops the same
-/// order.
-fn dial_width(max: f64, mean: f64) -> f64 {
-    if max > 0.0 {
-        mean.max(max / 256.0)
-    } else {
-        0.0
-    }
-}
-
-/// Enum-dispatched priority queue: one concrete type the workspace can
-/// hold while the discipline stays a runtime choice. Generic over the
-/// payload `P` ([`NodeId`] for single-source, a packed `(lane, node)`
-/// `u64` for the batched path).
-#[derive(Debug)]
-pub enum DijkstraQueue<P = NodeId> {
-    /// `std` binary heap.
-    Binary(BinaryHeap<HeapItem<P>>),
-    /// 4-ary array heap.
-    Quaternary(QuaternaryHeap<P>),
-    /// Bucket/Dial queue.
-    Dial(DialQueue<P>),
-    /// Per-run choice between Dial and Binary.
-    Auto(AutoQueue<P>),
-}
-
-impl<P: Copy + Ord> DijkstraQueue<P> {
-    /// An empty queue of the given discipline.
-    #[must_use]
-    pub fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Binary => Self::Binary(BinaryHeap::new()),
-            QueueKind::Quaternary => Self::Quaternary(QuaternaryHeap::default()),
-            QueueKind::Dial => Self::Dial(DialQueue::default()),
-            QueueKind::Auto => Self::Auto(AutoQueue::default()),
-        }
-    }
-
-    /// The discipline of this queue.
-    #[must_use]
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            Self::Binary(_) => QueueKind::Binary,
-            Self::Quaternary(_) => QueueKind::Quaternary,
-            Self::Dial(_) => QueueKind::Dial,
-            Self::Auto(_) => QueueKind::Auto,
-        }
-    }
-
-    /// Per-run setup: the Dial queue calibrates its bucket width from
-    /// the run's length distribution and the Auto queue additionally
-    /// picks its discipline (one `O(E)` scan, done lazily here so the
-    /// pure heap disciplines never pay it); the heaps just clear.
-    pub fn prepare(&mut self, lengths: &[f64]) {
-        match self {
-            Self::Binary(h) => h.clear(),
-            Self::Quaternary(h) => h.clear(),
-            Self::Dial(d) => {
-                let (max, mean) = length_stats(lengths);
-                d.prepare(dial_width(max, mean));
-            }
-            Self::Auto(a) => {
-                let (max, mean) = length_stats(lengths);
-                a.use_dial = max > 0.0 && max <= AUTO_DIAL_MAX_OVER_MEAN * mean;
-                a.heap.clear();
-                a.dial.prepare(dial_width(max, mean));
-            }
-        }
-    }
-
-    /// Inserts a `(dist, payload)` entry.
-    pub fn push(&mut self, dist: f64, node: P) {
-        let bits = dist.to_bits();
-        match self {
-            Self::Binary(h) => h.push(HeapItem { bits, node }),
-            Self::Quaternary(h) => h.push((bits, node)),
-            Self::Dial(d) => d.push((bits, node)),
-            Self::Auto(a) if a.use_dial => a.dial.push((bits, node)),
-            Self::Auto(a) => a.heap.push(HeapItem { bits, node }),
-        }
-    }
-
-    /// Removes and returns the minimum `(dist, payload)` entry — the
-    /// same entry for every discipline.
-    pub fn pop(&mut self) -> Option<(f64, P)> {
-        let raw = match self {
-            Self::Binary(h) => h.pop().map(|i| (i.bits, i.node)),
-            Self::Quaternary(h) => h.pop(),
-            Self::Dial(d) => d.pop(),
-            Self::Auto(a) if a.use_dial => a.dial.pop(),
-            Self::Auto(a) => a.heap.pop().map(|i| (i.bits, i.node)),
-        };
-        raw.map(|(bits, node)| (f64::from_bits(bits), node))
-    }
-
-    /// Number of queued entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            Self::Binary(h) => h.len(),
-            Self::Quaternary(h) => h.len(),
-            Self::Dial(d) => d.len,
-            Self::Auto(a) if a.use_dial => a.dial.len,
-            Self::Auto(a) => a.heap.len(),
-        }
-    }
-
-    /// True when no entries are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Monomorphic push/pop interface over the concrete queue types: the
-/// Dijkstra inner loops are generic over this, so the discipline is
-/// dispatched **once per run**, not once per heap operation (the
-/// enum-level [`DijkstraQueue::push`]/[`pop`](DijkstraQueue::pop) exist
-/// for callers outside the hot loop).
-pub(crate) trait QueueOps<P> {
-    fn push_entry(&mut self, dist: f64, node: P);
-    fn pop_entry(&mut self) -> Option<(f64, P)>;
-}
-
-impl<P: Copy + Ord> QueueOps<P> for BinaryHeap<HeapItem<P>> {
+    /// Inserts a `(dist, payload)` entry. `dist` must be finite and not
+    /// negative (`-0.0` included): outside that range the bit pattern no
+    /// longer orders like the value.
     #[inline]
-    fn push_entry(&mut self, dist: f64, node: P) {
-        self.push(HeapItem { bits: dist.to_bits(), node });
+    pub fn push(&mut self, dist: f64, payload: u64) {
+        debug_assert!(
+            dist.is_finite() && dist.is_sign_positive(),
+            "heap distance {dist} outside the bit-ordered range"
+        );
+        self.heap.push(Reverse((u128::from(dist.to_bits()) << 64) | u128::from(payload)));
     }
 
+    /// Removes and returns the minimum `(dist, payload)` entry.
     #[inline]
-    fn pop_entry(&mut self) -> Option<(f64, P)> {
-        self.pop().map(|i| (f64::from_bits(i.bits), i.node))
-    }
-}
-
-impl<P: Copy + Ord> QueueOps<P> for QuaternaryHeap<P> {
-    #[inline]
-    fn push_entry(&mut self, dist: f64, node: P) {
-        self.push((dist.to_bits(), node));
+    pub fn pop(&mut self) -> Option<(f64, u64)> {
+        self.heap.pop().map(|Reverse(key)| (f64::from_bits((key >> 64) as u64), key as u64))
     }
 
-    #[inline]
-    fn pop_entry(&mut self) -> Option<(f64, P)> {
-        self.pop().map(|(bits, node)| (f64::from_bits(bits), node))
-    }
-}
-
-impl<P: Copy + Ord> QueueOps<P> for DialQueue<P> {
-    #[inline]
-    fn push_entry(&mut self, dist: f64, node: P) {
-        self.push((dist.to_bits(), node));
-    }
-
-    #[inline]
-    fn pop_entry(&mut self) -> Option<(f64, P)> {
-        self.pop().map(|(bits, node)| (f64::from_bits(bits), node))
+    /// Drops every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 }
 
@@ -515,154 +67,154 @@ mod tests {
     use super::*;
     use omcf_numerics::{Rng64, Xoshiro256pp};
 
-    /// Drains a queue fed with `items`, interleaving pushes the way
-    /// Dijkstra does (every push after a pop is ≥ the popped dist).
-    fn drain(kind: QueueKind, items: &[(f64, u32)]) -> Vec<(f64, u32)> {
-        let mut q = DijkstraQueue::new(kind);
-        let lengths: Vec<f64> = items.iter().map(|&(d, _)| d).collect();
-        q.prepare(&lengths);
-        for &(d, n) in items {
-            q.push(d, NodeId(n));
-        }
-        let mut out = Vec::new();
-        while let Some((d, n)) = q.pop() {
-            out.push((d, n.0));
-        }
-        out
+    /// The reference model's order: `(dist.total_cmp, payload)`.
+    fn sort_by_dist_then_payload(items: &mut [(f64, u64)]) {
+        items.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     }
 
-    #[test]
-    fn all_kinds_pop_identical_sequences() {
-        let mut rng = Xoshiro256pp::new(42);
-        for round in 0..20 {
-            let n = 1 + rng.index(50);
-            let items: Vec<(f64, u32)> = (0..n)
-                // Coarse distances provoke ties; node ids break them.
-                .map(|_| (rng.index(8) as f64 * 0.5, rng.index(12) as u32))
-                .collect();
-            let reference = drain(QueueKind::Binary, &items);
-            for kind in [QueueKind::Quaternary, QueueKind::Dial, QueueKind::Auto] {
-                assert_eq!(drain(kind, &items), reference, "{kind:?} diverged (round {round})");
+    /// A pop sequence as `(dist bits, payload)`.
+    type Pops = Vec<(u64, u64)>;
+
+    fn bits(items: &[(f64, u64)]) -> Pops {
+        items.iter().map(|&(d, p)| (d.to_bits(), p)).collect()
+    }
+
+    /// Feeds `rounds` Dijkstra-style through the heap and through a
+    /// sorted-list model side by side — each round pops one entry, then
+    /// pushes entries no smaller than it — and returns both pop
+    /// sequences as `(dist bits, payload)`. The model pops the first
+    /// entry of its contents sorted by `(dist.total_cmp, payload)`.
+    fn drain_monotone(rounds: &[Vec<(f64, u64)>]) -> (Pops, Pops) {
+        let mut q = DijkstraHeap::new();
+        let mut model: Vec<(f64, u64)> = Vec::new();
+        let (mut popped, mut expected) = (Vec::new(), Vec::new());
+        let model_pop = |model: &mut Vec<(f64, u64)>, expected: &mut Vec<(f64, u64)>| {
+            sort_by_dist_then_payload(model);
+            expected.push(model.remove(0));
+        };
+        let mut floor = 0.0f64;
+        for round in rounds {
+            if let Some(top) = q.pop() {
+                floor = top.0;
+                popped.push(top);
+                model_pop(&mut model, &mut expected);
             }
-            // The reference really is sorted by (dist, node).
-            let mut sorted = reference.clone();
-            sorted.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            assert_eq!(reference, sorted);
+            for &(delta, p) in round {
+                // Relaxations land at or above the last popped distance.
+                let d = floor + delta;
+                q.push(d, p);
+                model.push((d, p));
+            }
         }
-    }
-
-    #[test]
-    fn dial_handles_monotone_interleaving() {
-        let mut q: DijkstraQueue = DijkstraQueue::new(QueueKind::Dial);
-        q.prepare(&[1.0, 2.0, 0.5]);
-        q.push(0.0, NodeId(0));
-        let (d0, n0) = q.pop().unwrap();
-        assert_eq!((d0, n0.0), (0.0, 0));
-        // Relaxations from the popped node: all ≥ its distance.
-        q.push(2.0, NodeId(2));
-        q.push(0.7, NodeId(1));
-        assert_eq!(q.pop().unwrap().1 .0, 1);
-        q.push(0.9, NodeId(3)); // still ≥ 0.7
-        assert_eq!(q.pop().unwrap().1 .0, 3);
-        assert_eq!(q.pop().unwrap().1 .0, 2);
-        assert!(q.pop().is_none());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn zero_lengths_fall_back_to_unit_width() {
-        let mut q: DijkstraQueue = DijkstraQueue::new(QueueKind::Dial);
-        q.prepare(&[0.0, 0.0]);
-        q.push(0.0, NodeId(5));
-        q.push(0.0, NodeId(1));
-        assert_eq!(q.pop().unwrap().1 .0, 1, "node id breaks the tie");
-        assert_eq!(q.pop().unwrap().1 .0, 5);
-    }
-
-    #[test]
-    fn kind_parse_round_trips() {
-        for kind in QueueKind::ALL {
-            assert_eq!(QueueKind::parse(kind.name()), Some(kind));
-            assert_eq!(QueueKind::parse(&kind.name().to_uppercase()), Some(kind));
-            assert!(QueueKind::VOCABULARY.contains(kind.name()), "vocabulary must list {kind:?}");
+        popped.extend(std::iter::from_fn(|| q.pop()));
+        while !model.is_empty() {
+            model_pop(&mut model, &mut expected);
         }
-        assert_eq!(QueueKind::parse("fibonacci"), None);
-        let q: DijkstraQueue = DijkstraQueue::new(QueueKind::Quaternary);
-        assert_eq!(q.kind(), QueueKind::Quaternary);
+        (bits(&popped), bits(&expected))
     }
 
-    /// Auto picks Dial exactly when the `max/mean` ratio is bounded, and
-    /// both resolutions pop the documented order.
+    /// Random monotone push/pop streams with many equal distances pop
+    /// exactly like the sorted model: every pop is the first entry of the
+    /// current contents sorted by `(dist.total_cmp, payload)`.
     #[test]
-    fn auto_resolves_per_run_from_length_stats() {
-        let mut q: DijkstraQueue = DijkstraQueue::new(QueueKind::Auto);
-        assert_eq!(q.kind(), QueueKind::Auto);
-
-        // Tight distribution: Dial territory.
-        q.prepare(&[1.0, 1.1, 0.9, 1.0]);
-        match &q {
-            DijkstraQueue::Auto(a) => assert!(a.use_dial, "bounded ratio must pick Dial"),
-            _ => unreachable!(),
-        }
-        q.push(0.5, NodeId(2));
-        q.push(0.5, NodeId(1));
-        q.push(0.1, NodeId(9));
-        assert_eq!(q.pop().unwrap().1 .0, 9);
-        assert_eq!(q.pop().unwrap().1 .0, 1);
-        assert_eq!(q.pop().unwrap().1 .0, 2);
-
-        // Long tail: one huge outlier over many tiny lengths — Binary.
-        let mut skewed = vec![1e-6; 1000];
-        skewed.push(1.0);
-        q.prepare(&skewed);
-        match &q {
-            DijkstraQueue::Auto(a) => assert!(!a.use_dial, "long tail must pick Binary"),
-            _ => unreachable!(),
-        }
-        q.push(0.5, NodeId(2));
-        q.push(0.1, NodeId(9));
-        assert_eq!(q.pop().unwrap().1 .0, 9);
-        assert_eq!(q.pop().unwrap().1 .0, 2);
-    }
-
-    /// The calibrated width keeps skewed distributions order-correct:
-    /// the clamp `mean.max(max/256)` only changes bucket shape, never
-    /// the pop order.
-    #[test]
-    fn calibrated_width_preserves_order_on_skewed_lengths() {
-        let mut rng = Xoshiro256pp::new(7);
-        let mut items = Vec::new();
+    fn monotone_streams_drain_in_sorted_order() {
+        let mut rng = Xoshiro256pp::new(42);
         for _ in 0..200 {
-            // Mostly tiny distances with occasional huge outliers.
-            let d = if rng.index(10) == 0 {
-                rng.index(1000) as f64
-            } else {
-                rng.index(50) as f64 * 1e-3
-            };
-            items.push((d, rng.index(64) as u32));
+            let rounds: Vec<Vec<(f64, u64)>> = (0..1 + rng.index(40))
+                .map(|_| {
+                    (0..rng.index(5))
+                        // Coarse increments provoke ties; ids break them.
+                        .map(|_| (rng.index(4) as f64 * 0.5, rng.index(16) as u64))
+                        .collect()
+                })
+                .collect();
+            let (popped, expected) = drain_monotone(&rounds);
+            assert_eq!(popped, expected);
         }
-        let reference = drain(QueueKind::Binary, &items);
-        assert_eq!(drain(QueueKind::Dial, &items), reference);
     }
 
-    /// `u64` payloads (the batched path's packed `(lane, node)` key)
-    /// order by distance then payload — lane-major, node within lane.
+    /// `0.0` and distances across the engine's stored range (2^-960 to
+    /// 2^990, both ends included) order exactly.
+    #[test]
+    fn zero_and_extreme_distances_order_exactly() {
+        let mut rng = Xoshiro256pp::new(7);
+        let mut q = DijkstraHeap::new();
+        let mut items: Vec<(f64, u64)> = vec![(0.0, 3), (0.0, 1)];
+        for _ in 0..500 {
+            let exp = rng.index(1951) as i32 - 960;
+            let mantissa = 1.0 + rng.index(4) as f64 * 0.25;
+            items.push((mantissa * 2f64.powi(exp), rng.index(8) as u64));
+        }
+        items.push((2f64.powi(-960), 0));
+        items.push((2f64.powi(990), 0));
+        for &(d, p) in &items {
+            q.push(d, p);
+        }
+        let popped: Vec<(f64, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        sort_by_dist_then_payload(&mut items);
+        assert_eq!(bits(&popped), bits(&items));
+        assert_eq!(popped[0], (0.0, 1), "payload breaks the zero tie");
+    }
+
+    /// `u64` payloads (the batched path's packed `(lane, node)` key) use
+    /// all 64 low bits: ties order lane-major, node within lane.
     #[test]
     fn u64_payloads_order_by_dist_then_lane_then_node() {
-        for kind in QueueKind::ALL {
-            let mut q: DijkstraQueue<u64> = DijkstraQueue::new(kind);
-            q.prepare(&[1.0]);
-            let pack = |lane: u64, node: u64| (lane << 32) | node;
-            q.push(0.5, pack(1, 0));
-            q.push(0.5, pack(0, 7));
-            q.push(0.5, pack(0, 3));
-            q.push(0.2, pack(2, 9));
-            let order: Vec<(f64, u64)> = std::iter::from_fn(|| q.pop()).collect();
-            assert_eq!(
-                order,
-                vec![(0.2, pack(2, 9)), (0.5, pack(0, 3)), (0.5, pack(0, 7)), (0.5, pack(1, 0)),],
-                "{kind:?}"
-            );
+        let pack = |lane: u64, node: u64| (lane << 32) | node;
+        let mut rng = Xoshiro256pp::new(2004);
+        for _ in 0..100 {
+            let rounds: Vec<Vec<(f64, u64)>> = (0..1 + rng.index(30))
+                .map(|_| {
+                    (0..rng.index(6))
+                        .map(|_| {
+                            let payload = pack(rng.index(8) as u64, rng.index(1 << 20) as u64);
+                            (rng.index(3) as f64 * 0.25, payload)
+                        })
+                        .collect()
+                })
+                .collect();
+            let (popped, expected) = drain_monotone(&rounds);
+            assert_eq!(popped, expected);
         }
+        let mut q = DijkstraHeap::new();
+        q.push(0.5, pack(1, 0));
+        q.push(0.5, pack(0, 7));
+        q.push(0.5, pack(0, 3));
+        q.push(0.2, pack(2, 9));
+        q.push(0.5, u64::MAX);
+        let order: Vec<(f64, u64)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (0.2, pack(2, 9)),
+                (0.5, pack(0, 3)),
+                (0.5, pack(0, 7)),
+                (0.5, pack(1, 0)),
+                (0.5, u64::MAX)
+            ]
+        );
+    }
+
+    #[test]
+    fn clear_empties_the_heap() {
+        let mut q = DijkstraHeap::new();
+        q.push(1.0, 0);
+        q.push(2.0, 1);
+        q.clear();
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "bit-ordered range")]
+    fn negative_zero_is_rejected() {
+        DijkstraHeap::new().push(-0.0, 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "bit-ordered range")]
+    fn nan_is_rejected() {
+        DijkstraHeap::new().push(f64::NAN, 0);
     }
 }

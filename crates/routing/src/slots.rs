@@ -60,8 +60,8 @@ impl NodeSlot {
     }
 }
 
-/// Weight lookup for the relax loops, monomorphized like the queue
-/// disciplines: the generic loop compiles once per source, so the plain
+/// Weight lookup for the relax loops, monomorphized: the generic loop
+/// compiles once per source, so the plain
 /// edge-indexed path and the contiguous arc-mirror path differ by a
 /// single load with no branch in between.
 pub(crate) trait ArcWeights: Copy {

@@ -7,31 +7,31 @@
 //! entry point stops as soon as every requested target is settled. The
 //! inner loop walks the graph's struct-of-arrays
 //! [`CsrGraph`](omcf_topology::CsrGraph) (offsets/heads/edge-ids in
-//! contiguous arrays) through a pluggable priority queue
-//! ([`QueueKind`]); the workspace implements the [`ShortestPath`]
-//! abstraction the oracles and fan-out drivers consume.
+//! contiguous arrays) through the crate's one priority queue, a binary
+//! heap over packed `(dist, node)` integer keys ([`DijkstraHeap`]); the
+//! workspace implements the [`ShortestPath`] abstraction the oracles and
+//! fan-out drivers consume.
 //!
-//! Every entry point and every queue discipline runs *exactly* the
-//! algorithm of the frozen adjacency-list reference
-//! ([`crate::reference::dijkstra_adjacency`]) — identical relaxation
-//! order (the CSR preserves `neighbors()` arc order), identical pop
-//! order (all queues realize the same `(dist, node)` total order),
-//! identical deterministic tie-breaking — so distances and extracted
-//! paths are bit-identical across layouts and queues (the property tests
+//! Every entry point runs *exactly* the algorithm of the frozen
+//! adjacency-list reference ([`crate::reference::dijkstra_adjacency`]) —
+//! identical relaxation order (the CSR preserves `neighbors()` arc
+//! order), identical pop order (the packed key orders like `(dist,
+//! node)`), identical deterministic tie-breaking — so distances and
+//! extracted paths are bit-identical across layouts (the property tests
 //! in `tests/prop.rs` pin this). Early exit is safe for the same reason
 //! Dijkstra is correct: once a node is settled its distance and parent
 //! are final, so any settled target's path is the same whether or not
 //! the remaining nodes are ever popped.
 //!
 //! [`dijkstra`]: crate::dijkstra::dijkstra
+//! [`DijkstraHeap`]: crate::queue::DijkstraHeap
 
 use crate::dijkstra::ShortestPathTree;
 use crate::path::Path;
-use crate::queue::{DijkstraQueue, QueueKind, QueueOps};
+use crate::queue::DijkstraHeap;
 use crate::slots::{ArcMirror, ArcWeights, EdgeIndexed, NodeSlot, NO_PARENT};
 use omcf_telemetry::stats;
 use omcf_topology::{Graph, NodeId};
-use std::collections::BinaryHeap;
 
 /// Single-source shortest-path engine abstraction — the extension seam
 /// of the routing core. [`DijkstraWorkspace`] is today's only
@@ -85,7 +85,7 @@ pub struct DijkstraWorkspace {
     /// Always a multiple of 4, advancing by 4 per run so the two flag
     /// bits can never collide with a stamp comparison.
     gen: u32,
-    queue: DijkstraQueue,
+    queue: DijkstraHeap,
 }
 
 /// `state[v]` bit 0: node is an early-exit target of the current run.
@@ -96,23 +96,14 @@ const STATE_DONE: u32 = 2;
 const GEN_STRIDE: u32 = 4;
 
 impl DijkstraWorkspace {
-    /// Creates a workspace for graphs of `n` nodes with the default
-    /// binary-heap queue.
+    /// Creates a workspace for graphs of `n` nodes.
     #[must_use]
     pub fn new(n: usize) -> Self {
-        Self::with_queue(n, QueueKind::Binary)
-    }
-
-    /// Creates a workspace with an explicit priority-queue discipline.
-    /// Every [`QueueKind`] computes bit-identical results; see
-    /// `docs/PERF.md` for selection guidance.
-    #[must_use]
-    pub fn with_queue(n: usize, kind: QueueKind) -> Self {
         Self {
             src: NodeId(0),
             slots: vec![NodeSlot::UNREACHED; n],
             gen: 0,
-            queue: DijkstraQueue::new(kind),
+            queue: DijkstraHeap::new(),
         }
     }
 
@@ -120,21 +111,6 @@ impl DijkstraWorkspace {
     #[must_use]
     pub fn node_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The priority-queue discipline this workspace runs with.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
-    /// Switches the priority-queue discipline (a no-op when it already
-    /// matches). Results are unaffected — every discipline realizes the
-    /// same pop order — so pooled workspaces can be retargeted freely.
-    pub fn set_queue_kind(&mut self, kind: QueueKind) {
-        if self.queue.kind() != kind {
-            self.queue = DijkstraQueue::new(kind);
-        }
     }
 
     fn begin(&mut self, src: NodeId) {
@@ -207,35 +183,6 @@ impl DijkstraWorkspace {
         assert_eq!(self.slots.len(), g.node_count(), "workspace sized for a different graph");
         debug_assert!(lengths.iter().all(|l| *l >= 0.0 && l.is_finite()));
         self.begin(src);
-        // Swap the queue into a local and dispatch the discipline ONCE:
-        // the hot loop is monomorphized per concrete queue type, so no
-        // per-push/per-pop enum match survives into the inner loop. The
-        // placeholder is allocation-free (`BinaryHeap::new`).
-        let mut queue =
-            std::mem::replace(&mut self.queue, DijkstraQueue::Binary(BinaryHeap::new()));
-        queue.prepare(lengths);
-        match &mut queue {
-            DijkstraQueue::Binary(q) => self.run_loop(g, src, weights, targets, q),
-            DijkstraQueue::Quaternary(q) => self.run_loop(g, src, weights, targets, q),
-            DijkstraQueue::Dial(q) => self.run_loop(g, src, weights, targets, q),
-            // Auto resolved its discipline in `prepare`; dispatch to the
-            // chosen inner queue so the loop stays monomorphic.
-            DijkstraQueue::Auto(a) if a.use_dial => {
-                self.run_loop(g, src, weights, targets, &mut a.dial);
-            }
-            DijkstraQueue::Auto(a) => self.run_loop(g, src, weights, targets, &mut a.heap),
-        }
-        self.queue = queue;
-    }
-
-    fn run_loop<W: ArcWeights, Q: QueueOps<NodeId>>(
-        &mut self,
-        g: &Graph,
-        src: NodeId,
-        weights: W,
-        targets: &[NodeId],
-        queue: &mut Q,
-    ) {
         // Captured once per run: queue/relaxation events are batched in
         // locals and flushed after the loop, so the inner loop carries no
         // atomics and the disabled cost is this one load.
@@ -262,19 +209,24 @@ impl DijkstraWorkspace {
                 pending += 1;
             }
         }
-        queue.push_entry(0.0, src);
+        // Work on a local heap (moved out and back, allocation kept) so
+        // the hot loop's heap state cannot alias the slot writes. An
+        // early exit can leave entries behind; drop them first.
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        queue.push(0.0, u64::from(src.0));
         pushes += 1;
         // Hot loop over the struct-of-arrays CSR: per arc, one contiguous
         // read of (edge id, head) instead of the edge-record pointer
         // chase, and one packed slot holding the target node's whole
-        // relaxation record. Arc order equals `neighbors()` order and
-        // every queue discipline realizes the same pop order, so
-        // relaxations — and therefore results — are bit-identical to the
-        // adjacency-list reference (`crate::reference`, pinned by
-        // `tests/prop.rs`).
+        // relaxation record. Arc order equals `neighbors()` order and the
+        // packed heap key pops in `(dist, node)` order, so relaxations —
+        // and therefore results — are bit-identical to the adjacency-list
+        // reference (`crate::reference`, pinned by `tests/prop.rs`).
         let csr = g.csr();
-        while let Some((d, u)) = queue.pop_entry() {
+        while let Some((d, payload)) = queue.pop() {
             pops += 1;
+            let u = NodeId(payload as u32);
             let su = self.slots[u.idx()].state;
             if su >= gen + STATE_DONE {
                 continue;
@@ -313,7 +265,7 @@ impl DijkstraWorkspace {
                         // on re-touches.
                         slot.state = gen;
                     }
-                    queue.push_entry(nd, v);
+                    queue.push(nd, u64::from(v.0));
                     pushes += 1;
                 }
             }
@@ -324,6 +276,7 @@ impl DijkstraWorkspace {
             stats::ROUTING_HEAP_POPS.record(pops);
             stats::ROUTING_RELAXATIONS.record(scans);
         }
+        self.queue = queue;
     }
 
     /// The source of the last run.
@@ -491,25 +444,15 @@ impl WorkspacePool {
     /// exact size if available, otherwise allocates fresh.
     #[must_use]
     pub fn lease(&self, n: usize) -> DijkstraWorkspace {
-        self.lease_with(n, QueueKind::Binary)
-    }
-
-    /// Like [`Self::lease`] but with an explicit queue discipline. A
-    /// recycled workspace of another discipline is retargeted in place
-    /// (results are discipline-independent, so this is always safe).
-    #[must_use]
-    pub fn lease_with(&self, n: usize, kind: QueueKind) -> DijkstraWorkspace {
         stats::ROUTING_POOL_LEASES.inc();
         let mut free = self.free.lock().expect("workspace pool poisoned");
         if let Some(pos) = free.iter().position(|ws| ws.node_count() == n) {
-            let mut ws = free.swap_remove(pos);
-            ws.set_queue_kind(kind);
-            ws
+            free.swap_remove(pos)
         } else {
             // Cache-miss allocation: whether the free list was empty here
             // depends on thread interleaving, hence the Wall-class counter.
             stats::ROUTING_POOL_ALLOCS.inc();
-            DijkstraWorkspace::with_queue(n, kind)
+            DijkstraWorkspace::new(n)
         }
     }
 
@@ -520,21 +463,18 @@ impl WorkspacePool {
         self.free.lock().expect("workspace pool poisoned").push(ws);
     }
 
-    /// Leases a batched multi-source engine sized for `n` nodes with the
-    /// given queue discipline: recycles a pooled one of the exact size
-    /// if available (retargeting its discipline in place), otherwise
+    /// Leases a batched multi-source engine sized for `n` nodes:
+    /// recycles a pooled one of the exact size if available, otherwise
     /// allocates fresh. Lane storage adapts to each run's source count.
     #[must_use]
-    pub fn lease_batch(&self, n: usize, kind: QueueKind) -> crate::batch::BatchDijkstra {
+    pub fn lease_batch(&self, n: usize) -> crate::batch::BatchDijkstra {
         stats::ROUTING_POOL_LEASES.inc();
         let mut free = self.free_batches.lock().expect("workspace pool poisoned");
         if let Some(pos) = free.iter().position(|b| b.node_count() == n) {
-            let mut b = free.swap_remove(pos);
-            b.set_queue_kind(kind);
-            b
+            free.swap_remove(pos)
         } else {
             stats::ROUTING_POOL_ALLOCS.inc();
-            crate::batch::BatchDijkstra::with_queue(n, kind)
+            crate::batch::BatchDijkstra::new(n)
         }
     }
 

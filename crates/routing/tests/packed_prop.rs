@@ -10,12 +10,12 @@
 //! test below compares `to_bits` on distances and exact path equality
 //! against `reference::dijkstra_adjacency` — the pre-refactor
 //! adjacency-list implementation kept frozen precisely to pin layouts
-//! like this one — across random graphs, tie-heavy and smooth length
-//! profiles, every queue discipline, and real multi-threaded pools.
+//! like this one — across random graphs, tie-heavy, smooth and
+//! FPTAS-scaled length profiles, and real multi-threaded pools.
 
 use omcf_numerics::{Parallelism, Rng64, Xoshiro256pp};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{fanout_trees_batched_with, fanout_trees_with, QueueKind, WorkspacePool};
+use omcf_routing::{fanout_trees_batched_with, fanout_trees_with, WorkspacePool};
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
 use proptest::prelude::*;
@@ -25,19 +25,22 @@ fn graph(seed: u64, n: usize) -> Graph {
     waxman::generate(&params, &mut Xoshiro256pp::new(seed))
 }
 
-/// Tie-heavy or smooth random lengths (same profile split as
-/// `tests/prop.rs`): integer-ish lengths provoke equal-distance pop
-/// ties — the case where a packed-slot tie-break bug would surface as a
-/// different parent — while fractional ones exercise the Dial queue's
-/// non-uniform buckets.
+/// Number of length profiles [`random_lengths`] cycles through.
+const PROFILES: u32 = 3;
+
+/// Random lengths in one of three profiles, chosen by `round` (the same
+/// split as `tests/prop.rs`): tie-heavy (integer-ish lengths provoke
+/// equal-distance pop ties — where a packed-slot tie-break bug would
+/// surface as a different parent), smooth (fractional), or FPTAS-scaled —
+/// stored lengths `2^-960 · 1.1^k` as the Garg–Könemann engine keeps
+/// them, spread so far that some relaxations are absorbed (`d + w == d`
+/// in floats), which turns into exact distance ties.
 fn random_lengths(g: &Graph, rng: &mut Xoshiro256pp, round: u32) -> Vec<f64> {
     (0..g.edge_count())
-        .map(|_| {
-            if round.is_multiple_of(2) {
-                rng.index(3) as f64 + 1.0
-            } else {
-                rng.range_f64(0.1, 3.0)
-            }
+        .map(|_| match round % PROFILES {
+            0 => rng.index(3) as f64 + 1.0,
+            1 => rng.range_f64(0.1, 3.0),
+            _ => 2f64.powi(-960) * 1.1f64.powi(rng.index(1000) as i32),
         })
         .collect()
 }
@@ -51,8 +54,8 @@ proptest! {
 
     /// The per-source parallel fan-out — which mirrors the lengths into
     /// arc order once and streams it from every worker — is bit-identical
-    /// to the adjacency reference for every queue discipline, on both
-    /// length profiles, at multiple thread counts.
+    /// to the adjacency reference on every length profile, at multiple
+    /// thread counts.
     #[test]
     fn mirrored_fanout_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
@@ -60,23 +63,20 @@ proptest! {
         let members: Vec<NodeId> =
             (0..6.min(n)).map(|_| NodeId(rng.index(n) as u32)).collect();
         let pool = WorkspacePool::new();
-        for round in 0..2u32 {
+        for round in 0..PROFILES {
             let lengths = random_lengths(&g, &mut rng, round);
-            for kind in QueueKind::ALL {
-                for t in [2usize, 4] {
-                    let trees =
-                        fanout_trees_with(&g, &members, &lengths, &pool, kind, threads(t));
-                    for (i, &src) in members.iter().enumerate() {
-                        let reference = dijkstra_adjacency(&g, src, &lengths);
-                        for v in g.nodes() {
-                            prop_assert_eq!(
-                                trees[i].dist(v).to_bits(),
-                                reference.dist(v).to_bits(),
-                                "mirrored fan-out distance bits diverged ({:?}, {} threads)",
-                                kind, t
-                            );
-                            prop_assert_eq!(trees[i].path_to(v), reference.path_to(v));
-                        }
+            for t in [2usize, 4] {
+                let trees = fanout_trees_with(&g, &members, &lengths, &pool, threads(t));
+                for (i, &src) in members.iter().enumerate() {
+                    let reference = dijkstra_adjacency(&g, src, &lengths);
+                    for v in g.nodes() {
+                        prop_assert_eq!(
+                            trees[i].dist(v).to_bits(),
+                            reference.dist(v).to_bits(),
+                            "mirrored fan-out distance bits diverged (profile {}, {} threads)",
+                            round, t
+                        );
+                        prop_assert_eq!(trees[i].path_to(v), reference.path_to(v));
                     }
                 }
             }
@@ -84,28 +84,27 @@ proptest! {
     }
 
     /// The lane-batched fan-out (packed multi-lane slots + arc mirror) is
-    /// bit-identical to the adjacency reference for every queue
-    /// discipline, serial and threaded.
+    /// bit-identical to the adjacency reference on every length profile,
+    /// serial and threaded.
     #[test]
     fn mirrored_batched_fanout_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 0xA2);
         let members: Vec<NodeId> =
             (0..7.min(n)).map(|_| NodeId(rng.index(n) as u32)).collect();
-        let lengths = random_lengths(&g, &mut rng, 0);
         let pool = WorkspacePool::new();
-        for kind in QueueKind::ALL {
+        for round in 0..PROFILES {
+            let lengths = random_lengths(&g, &mut rng, round);
             for policy in [Parallelism::Serial, threads(4)] {
-                let trees =
-                    fanout_trees_batched_with(&g, &members, &lengths, &pool, kind, policy);
+                let trees = fanout_trees_batched_with(&g, &members, &lengths, &pool, policy);
                 for (i, &src) in members.iter().enumerate() {
                     let reference = dijkstra_adjacency(&g, src, &lengths);
                     for v in g.nodes() {
                         prop_assert_eq!(
                             trees[i].dist(v).to_bits(),
                             reference.dist(v).to_bits(),
-                            "batched fan-out distance bits diverged ({:?})",
-                            kind
+                            "batched fan-out distance bits diverged (profile {})",
+                            round
                         );
                         prop_assert_eq!(trees[i].path_to(v), reference.path_to(v));
                     }

@@ -5,7 +5,7 @@ use omcf_routing::dijkstra::{dijkstra, dijkstra_hops};
 use omcf_routing::reference::dijkstra_adjacency;
 use omcf_routing::{
     fanout_trees, fanout_trees_serial, fanout_trees_with, DijkstraWorkspace, FixedRoutes,
-    QueueKind, WorkspacePool,
+    WorkspacePool,
 };
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
@@ -16,19 +16,42 @@ fn graph(seed: u64, n: usize) -> Graph {
     waxman::generate(&params, &mut Xoshiro256pp::new(seed))
 }
 
-/// Tie-heavy or smooth random lengths, depending on `round` (integer-ish
-/// lengths provoke equal-distance pop ties; fractional ones exercise the
-/// Dial queue's non-uniform buckets).
+/// Number of length profiles [`random_lengths`] cycles through.
+const PROFILES: u32 = 3;
+
+/// Random lengths in one of three profiles, chosen by `round`:
+/// tie-heavy (integer-ish lengths provoke equal-distance pop ties),
+/// smooth (fractional), or FPTAS-scaled — stored lengths `2^-960 ·
+/// 1.1^k` as the Garg–Könemann engine keeps them, with `k` spread so
+/// far (a factor of about 2^137) that some relaxations are absorbed
+/// (`d + w == d` in floats), which turns into exact distance ties.
 fn random_lengths(g: &Graph, rng: &mut Xoshiro256pp, round: u32) -> Vec<f64> {
     (0..g.edge_count())
-        .map(|_| {
-            if round.is_multiple_of(2) {
-                rng.index(3) as f64 + 1.0
-            } else {
-                rng.range_f64(0.1, 3.0)
-            }
+        .map(|_| match round % PROFILES {
+            0 => rng.index(3) as f64 + 1.0,
+            1 => rng.range_f64(0.1, 3.0),
+            _ => 2f64.powi(-960) * 1.1f64.powi(rng.index(1000) as i32),
         })
         .collect()
+}
+
+/// The FPTAS-scaled profile really does absorb relaxations: somewhere an
+/// arc of positive length leaves a settled distance unchanged.
+#[test]
+fn fptas_profile_absorbs_relaxations() {
+    let mut absorbed = 0usize;
+    for seed in 0..4u64 {
+        let g = graph(seed, 30);
+        let mut rng = Xoshiro256pp::new(seed);
+        let lengths = random_lengths(&g, &mut rng, 2);
+        let tree = dijkstra_adjacency(&g, NodeId(0), &lengths);
+        for u in g.nodes().filter(|&u| tree.reachable(u)) {
+            let d = tree.dist(u);
+            absorbed +=
+                g.neighbors(u).filter(|&(e, _)| d + lengths[e.idx()] == d && d > 0.0).count();
+        }
+    }
+    assert!(absorbed > 0, "no absorbed relaxation in the FPTAS-scaled profile");
 }
 
 proptest! {
@@ -138,48 +161,46 @@ proptest! {
     }
 
     /// The CSR-backed workspace is **bit-identical** to the frozen
-    /// pre-refactor adjacency-list Dijkstra, for every priority-queue
-    /// discipline, across randomized graphs, seeds and length profiles:
-    /// equal distance bits (`to_bits`, not epsilon) and equal
-    /// deterministic tie-broken paths from every source.
+    /// pre-refactor adjacency-list Dijkstra across randomized graphs,
+    /// seeds and every length profile: equal distance bits (`to_bits`,
+    /// not epsilon) and equal deterministic tie-broken paths from every
+    /// source.
     #[test]
     fn csr_bit_identical_to_adjacency_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 7);
-        for round in 0..2u32 {
+        let mut ws = DijkstraWorkspace::new(g.node_count());
+        for round in 0..PROFILES {
             let lengths = random_lengths(&g, &mut rng, round);
-            for kind in QueueKind::ALL {
-                let mut ws = DijkstraWorkspace::with_queue(g.node_count(), kind);
-                for src in g.nodes() {
-                    ws.run(&g, src, &lengths);
-                    let reference = dijkstra_adjacency(&g, src, &lengths);
-                    for v in g.nodes() {
-                        prop_assert_eq!(
-                            ws.dist(v).to_bits(),
-                            reference.dist(v).to_bits(),
-                            "distance bits diverged ({:?}, src {:?}, node {:?})",
-                            kind, src, v
-                        );
-                        prop_assert_eq!(ws.path_to(v), reference.path_to(v));
-                    }
+            for src in g.nodes() {
+                ws.run(&g, src, &lengths);
+                let reference = dijkstra_adjacency(&g, src, &lengths);
+                for v in g.nodes() {
+                    prop_assert_eq!(
+                        ws.dist(v).to_bits(),
+                        reference.dist(v).to_bits(),
+                        "distance bits diverged (profile {}, src {:?}, node {:?})",
+                        round, src, v
+                    );
+                    prop_assert_eq!(ws.path_to(v), reference.path_to(v));
                 }
             }
         }
     }
 
     /// Early-exit runs are bit-identical to the adjacency reference on
-    /// the settled targets, for every queue discipline.
+    /// the settled targets, on every length profile.
     #[test]
     fn csr_early_exit_bit_identical_to_reference(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 8);
-        let lengths = random_lengths(&g, &mut rng, 0);
-        let targets: Vec<NodeId> =
-            rng.sample_indices(n, 4.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
-        let src = targets[0];
-        let reference = dijkstra_adjacency(&g, src, &lengths);
-        for kind in QueueKind::ALL {
-            let mut ws = DijkstraWorkspace::with_queue(g.node_count(), kind);
+        let mut ws = DijkstraWorkspace::new(g.node_count());
+        for round in 0..PROFILES {
+            let lengths = random_lengths(&g, &mut rng, round);
+            let targets: Vec<NodeId> =
+                rng.sample_indices(n, 4.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
+            let src = targets[0];
+            let reference = dijkstra_adjacency(&g, src, &lengths);
             ws.run_targets(&g, src, &lengths, &targets);
             for &t in &targets {
                 prop_assert_eq!(ws.dist(t).to_bits(), reference.dist(t).to_bits());
@@ -189,28 +210,28 @@ proptest! {
     }
 
     /// Parallel member fan-out is byte-identical to the serial loop:
-    /// same trees, same order, for every queue discipline and every
-    /// tested thread count (real worker pools with genuine stealing) —
-    /// and each tree matches the adjacency reference bit-for-bit.
+    /// same trees, same order, at every tested thread count (real worker
+    /// pools with genuine stealing) — and each tree matches the adjacency
+    /// reference bit-for-bit, on every length profile.
     #[test]
     fn parallel_fanout_byte_identical_to_serial(seed in any::<u64>(), n in 8usize..40) {
         let g = graph(seed, n);
         let mut rng = Xoshiro256pp::new(seed ^ 9);
-        let lengths = random_lengths(&g, &mut rng, 1);
         let members: Vec<NodeId> =
             rng.sample_indices(n, 5.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
         let pool = WorkspacePool::new();
-        for kind in QueueKind::ALL {
-            let par = fanout_trees(&g, &members, &lengths, &pool, kind);
-            let ser = fanout_trees_serial(&g, &members, &lengths, &pool, kind);
-            prop_assert_eq!(&par, &ser, "fan-out merge order diverged ({:?})", kind);
+        for round in 0..PROFILES {
+            let lengths = random_lengths(&g, &mut rng, round);
+            let par = fanout_trees(&g, &members, &lengths, &pool);
+            let ser = fanout_trees_serial(&g, &members, &lengths, &pool);
+            prop_assert_eq!(&par, &ser, "fan-out merge order diverged (profile {})", round);
             for threads in [1usize, 2, 4, 8] {
                 let policy =
                     Parallelism::Threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
-                let counted = fanout_trees_with(&g, &members, &lengths, &pool, kind, policy);
+                let counted = fanout_trees_with(&g, &members, &lengths, &pool, policy);
                 prop_assert_eq!(
                     &counted, &ser,
-                    "fan-out diverged at {} threads ({:?})", threads, kind
+                    "fan-out diverged at {} threads (profile {})", threads, round
                 );
             }
             for (i, &src) in members.iter().enumerate() {
@@ -234,8 +255,8 @@ proptest! {
             rng.sample_indices(n, 6.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
         let policy = Parallelism::Threads(std::num::NonZeroUsize::new(4).expect("nonzero"));
         let pool = WorkspacePool::new().with_parallelism(policy);
-        let first = fanout_trees(&g, &members, &lengths, &pool, QueueKind::Binary);
-        let second = fanout_trees(&g, &members, &lengths, &pool, QueueKind::Binary);
+        let first = fanout_trees(&g, &members, &lengths, &pool);
+        let second = fanout_trees(&g, &members, &lengths, &pool);
         prop_assert_eq!(&first, &second, "repeated fan-out at 4 threads is unstable");
     }
 

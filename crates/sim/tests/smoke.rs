@@ -62,16 +62,27 @@ fn repro_scenario_a_table2_reports_sane_throughput() {
     assert!(csv.is_file(), "repro did not write {}", csv.display());
     let body = std::fs::read_to_string(&csv).unwrap();
     assert!(body.contains("0.9"), "CSV is missing the ratio axis:\n{body}");
+
+    // The determinism contract: the same seed gives the same bytes, on any
+    // thread count and across changes that keep the arithmetic (queue,
+    // layout, batching). The golden file is `repro --seed 2004 table2`
+    // output; regenerate it only for a change that means to move results.
+    let golden = include_str!("data/table2_seed2004.csv");
+    assert!(body == golden, "table2.csv drifted from the seed-2004 golden file:\n{body}");
     let _ = std::fs::remove_dir_all(&out);
 }
 
 #[test]
 fn repro_rejects_unknown_flags() {
-    let result = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("--definitely-not-a-flag")
-        .output()
-        .expect("failed to spawn the repro binary");
-    assert!(!result.status.success());
+    // The routing core has one heap, so there is no `--queue` to select
+    // one: it fails like any other unknown flag.
+    for args in [&["--definitely-not-a-flag"][..], &["--queue", "binary", "table2"]] {
+        let result = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("failed to spawn the repro binary");
+        assert!(!result.status.success(), "{args:?} must be rejected");
+    }
 }
 
 #[test]

@@ -60,7 +60,7 @@ pub static ORACLE_BYPASSED: Counter = Counter::new("oracle.cache.bypassed", Clas
 
 /// Dijkstra runs (single-source workspace runs and batched lanes).
 pub static ROUTING_DIJKSTRA_RUNS: Counter = Counter::new("routing.dijkstra.runs", Class::Count);
-/// Priority-queue pushes across all disciplines.
+/// Priority-queue pushes.
 pub static ROUTING_HEAP_PUSHES: Counter = Counter::new("routing.heap.pushes", Class::Count);
 /// Priority-queue pops (stale pops included).
 pub static ROUTING_HEAP_POPS: Counter = Counter::new("routing.heap.pops", Class::Count);
