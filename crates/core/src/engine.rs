@@ -52,8 +52,8 @@ use omcf_topology::{EdgeId, Graph};
 /// per-edge multiplicities of its tree (sorted by edge id, as
 /// [`Engine::augment`] returns them) plus the amount routed along it.
 /// This is the unit of exact rollback: a long-running runtime records one
-/// `Contribution` per admission and hands the surviving ones back to
-/// [`EngineState::rollback`] when a session departs.
+/// `Contribution` per admission and, when a session departs, hands
+/// [`EngineState::rollback`] the surviving ones that cross each edge.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Contribution {
     /// `(edge, n_e(t))` pairs, sorted by edge id, each edge once.
@@ -312,36 +312,40 @@ impl EngineState {
     /// monotone-growth reasoning that lets untouched cached routes survive,
     /// so every cache entry must revalidate.
     ///
-    /// `survivors` must list the live contributions in admission (join)
-    /// order and must not include the departed one.
-    pub fn rollback(
+    /// `crossing(e)` must yield the surviving contributions on edge `e`
+    /// as [`Self::replay_edges`] takes them, without the departed one.
+    pub fn rollback<I: IntoIterator<Item = (u32, f64)>>(
         &mut self,
         g: &Graph,
         rho: f64,
         session: usize,
         departed: &Contribution,
-        survivors: &[&Contribution],
+        crossing: impl Fn(EdgeId) -> I,
     ) {
-        let edges: Vec<EdgeId> = departed.edges.iter().map(|&(e, _)| e).collect();
-        self.replay_edges(g, rho, &edges, survivors);
+        self.replay_edges(g, rho, departed.edges.iter().map(|&(e, _)| e), crossing);
         self.store.clear_session(session);
         self.epochs.invalidate_all();
     }
 
     /// Recomputes `edges`' loads and lengths from the current capacities
-    /// and the live contributions (admission order) — the exact-replay
+    /// and the live contributions crossing them — the exact-replay
     /// primitive behind [`Self::rollback`] and behind capacity
     /// reconfiguration, where an edge's base length `1/c_e` and every
-    /// `n·dem/c_e` term change while the routed trees stay pinned. Callers
+    /// `n·dem/c_e` term change while the routed trees stay pinned.
+    /// `crossing(e)` yields `(n_e, amount)` for every live contribution
+    /// whose tree crosses `e`, in admission (join) order. Callers
     /// changing capacities must invalidate the epoch clock themselves if
     /// any length can shrink.
-    pub fn replay_edges(&mut self, g: &Graph, rho: f64, edges: &[EdgeId], live: &[&Contribution]) {
-        for &e in edges {
+    pub fn replay_edges<I: IntoIterator<Item = (u32, f64)>>(
+        &mut self,
+        g: &Graph,
+        rho: f64,
+        edges: impl IntoIterator<Item = EdgeId>,
+        crossing: impl Fn(EdgeId) -> I,
+    ) {
+        for e in edges {
             let cap = g.capacity(e);
-            let adds = live.iter().filter_map(|c| {
-                let n = c.multiplicity(e);
-                (n > 0).then(|| f64::from(n) * c.amount / cap)
-            });
+            let adds = crossing(e).into_iter().map(|(n, amount)| f64::from(n) * amount / cap);
             let (load, length) = replay_edge(1.0 / cap, rho, adds);
             self.load[e.idx()] = load;
             self.lengths.set_edge(e.idx(), length);
@@ -849,8 +853,14 @@ mod tests {
             contribs.push(c);
         }
         // Roll back arrival 1 (shares its edge with arrival 0).
-        let survivors: Vec<&Contribution> = [0usize, 2, 3].iter().map(|&i| &contribs[i]).collect();
-        state.rollback(&g, rho, 1, &contribs[1], &survivors);
+        let contribs = &contribs;
+        let crossing = move |e: EdgeId| {
+            [0usize, 2, 3].into_iter().filter_map(move |i| {
+                let n = contribs[i].multiplicity(e);
+                (n > 0).then_some((n, contribs[i].amount))
+            })
+        };
+        state.rollback(&g, rho, 1, &contribs[1], crossing);
         assert_eq!(state.store.tree_count(1), 0);
         assert_eq!(state.store.tree_count(0), 1, "survivor flow untouched");
 

@@ -15,7 +15,9 @@
 //!   *exactly* via [`EngineState::rollback`]: affected edges are replayed
 //!   from `1/c_e` over the surviving contributions in admission order, so
 //!   the restored lengths/loads are bit-identical to a trajectory that
-//!   only ever admitted the survivors with the same trees.
+//!   only ever admitted the survivors with the same trees. A per-edge
+//!   index of live contributions hands each replay exactly the sessions
+//!   crossing that edge, so a departure never scans the admission log.
 //! * [`Runtime::rescale_capacities`] applies link reconfiguration: trees
 //!   stay pinned while affected edges' base lengths and per-session
 //!   charges are re-derived exactly from the new capacities.
@@ -63,6 +65,65 @@ pub(crate) struct Admitted {
     pub(crate) alive: bool,
 }
 
+/// Per edge, the `(join index, multiplicity)` pairs of the live sessions
+/// whose trees cross it, in admission order — the replay input of
+/// [`EngineState::rollback`] and [`EngineState::replay_edges`]. Derived
+/// from the admission log: [`Runtime::join`] appends, [`Runtime::leave`]
+/// removes, a snapshot restore rebuilds it, and it is never serialized.
+#[derive(Debug)]
+pub(crate) struct EdgeIndex(Vec<Vec<(u32, u32)>>);
+
+impl EdgeIndex {
+    /// The index of the live sessions in `admitted` over `edge_count` edges.
+    pub(crate) fn build(edge_count: usize, admitted: &[Admitted]) -> Self {
+        let mut index = Self(vec![Vec::new(); edge_count]);
+        for (j, a) in admitted.iter().enumerate().filter(|(_, a)| a.alive) {
+            index.insert(j, &a.contribution);
+        }
+        index
+    }
+
+    /// Appends join `j`, which must be newer than every indexed join.
+    fn insert(&mut self, j: usize, c: &Contribution) {
+        let j = u32::try_from(j).expect("join index fits in u32");
+        for &(e, n) in &c.edges {
+            self.0[e.idx()].push((j, n));
+        }
+    }
+
+    /// Removes join `j` from every edge its contribution crosses.
+    fn remove(&mut self, j: usize, c: &Contribution) {
+        let j = u32::try_from(j).expect("join index fits in u32");
+        for &(e, _) in &c.edges {
+            let list = &mut self.0[e.idx()];
+            let k = list.binary_search_by_key(&j, |p| p.0).expect("live session is indexed");
+            list.remove(k);
+        }
+    }
+
+    /// Edge `e`'s live contributions as replay input: `(n_e, amount)` in
+    /// admission order.
+    fn crossing<'a>(
+        &'a self,
+        admitted: &'a [Admitted],
+        e: EdgeId,
+    ) -> impl Iterator<Item = (u32, f64)> + 'a {
+        self.0[e.idx()].iter().map(move |&(j, n)| (n, admitted[j as usize].contribution.amount))
+    }
+
+    /// Whether every edge in `edges` lists exactly what a scan of the
+    /// admission log finds — the debug-build check before each replay.
+    fn matches_scan(&self, admitted: &[Admitted], mut edges: impl Iterator<Item = EdgeId>) -> bool {
+        edges.all(|e| {
+            let scan = admitted.iter().enumerate().filter(|(_, a)| a.alive).filter_map(|(j, a)| {
+                let n = a.contribution.multiplicity(e);
+                (n > 0).then_some((j, n))
+            });
+            self.0[e.idx()].iter().map(|&(j, n)| (j as usize, n)).eq(scan)
+        })
+    }
+}
+
 /// A population snapshot taken at a [`Event::Reoptimize`] checkpoint,
 /// consumed by the [`Reoptimizer`](crate::Reoptimizer). Checkpoints are
 /// deliberately detached from the runtime (they share the graph by `Arc`
@@ -91,6 +152,7 @@ pub struct Runtime {
     pub(crate) routing: RoutingMode,
     pub(crate) state: EngineState,
     pub(crate) admitted: Vec<Admitted>,
+    pub(crate) index: EdgeIndex,
     pub(crate) events_processed: u64,
 }
 
@@ -101,12 +163,14 @@ impl Runtime {
         assert!(cfg.rho > 0.0 && cfg.rho.is_finite(), "step size must be positive");
         let graph = g.into();
         let state = EngineState::online(&graph);
+        let index = EdgeIndex::build(graph.edge_count(), &[]);
         Self {
             graph,
             rho: cfg.rho,
             routing: cfg.routing,
             state,
             admitted: Vec::new(),
+            index,
             events_processed: 0,
         }
     }
@@ -193,6 +257,7 @@ impl Runtime {
         let edges = engine.augment(tree.clone(), session.demand);
         self.state = engine.suspend();
         let contribution = Contribution { edges, amount: session.demand };
+        self.index.insert(slot, &contribution);
         self.admitted.push(Admitted { session, tree, contribution, alive: true });
         slot
     }
@@ -206,11 +271,15 @@ impl Runtime {
             _ => return false,
         }
         self.admitted[join_idx].alive = false;
-        let departed = self.admitted[join_idx].contribution.clone();
-        let survivors: Vec<&Contribution> =
-            self.admitted.iter().filter(|a| a.alive).map(|a| &a.contribution).collect();
+        let departed = &self.admitted[join_idx].contribution;
+        self.index.remove(join_idx, departed);
+        debug_assert!(self
+            .index
+            .matches_scan(&self.admitted, departed.edges.iter().map(|&(e, _)| e)));
         stats::RUNTIME_ROLLBACK_EDGES.add(departed.edges.len() as u64);
-        self.state.rollback(&self.graph, self.rho, join_idx, &departed, &survivors);
+        self.state.rollback(&self.graph, self.rho, join_idx, departed, |e| {
+            self.index.crossing(&self.admitted, e)
+        });
         true
     }
 
@@ -243,10 +312,10 @@ impl Runtime {
         let mut edges: Vec<EdgeId> = factors.iter().map(|&(e, _)| e).collect();
         edges.sort_unstable();
         edges.dedup();
-        let live: Vec<&Contribution> =
-            self.admitted.iter().filter(|a| a.alive).map(|a| &a.contribution).collect();
+        debug_assert!(self.index.matches_scan(&self.admitted, edges.iter().copied()));
         stats::RUNTIME_ROLLBACK_EDGES.add(edges.len() as u64);
-        self.state.replay_edges(&self.graph, self.rho, &edges, &live);
+        self.state
+            .replay_edges(&self.graph, self.rho, edges, |e| self.index.crossing(&self.admitted, e));
         self.state.epochs.invalidate_all();
     }
 

@@ -51,13 +51,14 @@
 //! Not serialized (reconstructed on restore): the
 //! [`TreeStore`](omcf_overlay::TreeStore) (rebuilt
 //! from the live trees at their demands — bit-identical, flows were never
-//! mutated in place) and the epoch clock (a fresh clock is correct
+//! mutated in place), the epoch clock (a fresh clock is correct
 //! because oracles are per-event; a restored runtime's first queries
-//! simply miss).
+//! simply miss) and the per-edge index of live contributions (rebuilt
+//! from the admission log).
 //!
 //! [`Event::CapacityChange`]: crate::Event::CapacityChange
 
-use crate::runtime::{Admitted, Runtime, RuntimeConfig};
+use crate::runtime::{Admitted, EdgeIndex, Runtime, RuntimeConfig};
 use omcf_core::engine::{Contribution, EngineState};
 use omcf_core::solver::RoutingMode;
 use omcf_overlay::{OverlayHop, OverlayTree, Session};
@@ -283,7 +284,8 @@ impl SnapshotImage {
         }
 
         // Reassemble the engine state: bit-exact lengths/loads, a fresh
-        // epoch clock, and the store rebuilt from the live admission log.
+        // epoch clock, and the store and the per-edge index rebuilt from
+        // the live admission log.
         let mut state = EngineState::online(&graph);
         for (e, bits) in self.lengths.iter().enumerate() {
             state.lengths.set_edge(e, *bits);
@@ -301,6 +303,7 @@ impl SnapshotImage {
 
         let mut rt = Runtime::new(Arc::clone(&graph), RuntimeConfig::new(self.rho, self.routing));
         rt.state = state;
+        rt.index = EdgeIndex::build(m, &admitted);
         rt.admitted = admitted;
         rt.events_processed = self.events;
         Ok(rt)
