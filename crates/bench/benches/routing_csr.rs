@@ -1,7 +1,6 @@
 //! Routing-core bench: CSR struct-of-arrays Dijkstra (with its one
-//! packed-key heap) vs the frozen adjacency-list reference, and the
-//! parallel member fan-out, on the large-scale (≥2k-node) registry
-//! substrates. Emits `BENCH_routing.json` at the workspace root — the
+//! packed-key heap) vs the frozen adjacency-list reference on the
+//! large-scale (≥2k-node) registry substrates. Emits `BENCH_routing.json` at the workspace root — the
 //! measured CSR-vs-adjacency speedup — and asserts every implementation
 //! agrees bit-for-bit before timing it. The CSR time keeps its historical
 //! key, `csr_binary_ms`, so `scripts/bench_check` compares it with the
@@ -14,10 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use omcf_numerics::{jsonfmt, Rng64, Xoshiro256pp};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{
-    dijkstra, fanout_trees, fanout_trees_batched, fanout_trees_serial, DijkstraWorkspace,
-    WorkspacePool,
-};
+use omcf_routing::{dijkstra, DijkstraWorkspace};
 use omcf_sim::registry;
 use omcf_sim::Scale;
 use omcf_topology::{Graph, NodeId};
@@ -152,8 +148,8 @@ fn emit_bench_json(_c: &mut Criterion) {
         let lengths = solver_lengths(&g, &mut rng);
         let sources = scattered_sources(&g, &mut rng);
 
-        // Bit-exactness gate before any timing: the CSR Dijkstra and the
-        // fan-out must reproduce the adjacency reference exactly.
+        // Bit-exactness gate before any timing: the CSR Dijkstra must
+        // reproduce the adjacency reference exactly.
         for &src in &sources {
             let reference = dijkstra_adjacency(&g, src, &lengths);
             let tree = dijkstra(&g, src, &lengths);
@@ -165,24 +161,10 @@ fn emit_bench_json(_c: &mut Criterion) {
                 );
             }
         }
-        let pool = WorkspacePool::new();
-        let fanout = fanout_trees(&g, &sources, &lengths, &pool);
-        for (i, &src) in sources.iter().enumerate() {
-            let reference = dijkstra_adjacency(&g, src, &lengths);
-            for v in g.nodes() {
-                assert_eq!(fanout[i].dist(v).to_bits(), reference.dist(v).to_bits(), "{name}");
-            }
-        }
-        let batched = fanout_trees_batched(&g, &sources, &lengths, &pool);
-        assert_eq!(batched, fanout, "{name}: batched fan-out diverged from per-source");
-
         let (gr, so, le) = (&g, &sources, &lengths);
         let mut routines: Vec<Routine<'_>> = vec![
             ("adjacency", Box::new(|| run_adjacency(gr, so, le))),
             ("csr", Box::new(|| run_csr(gr, so, le))),
-            ("fanout_serial", Box::new(|| fanout_trees_serial(gr, so, le, &pool).len() as f64)),
-            ("fanout", Box::new(|| fanout_trees(gr, so, le, &pool).len() as f64)),
-            ("fanout_batched", Box::new(|| fanout_trees_batched(gr, so, le, &pool).len() as f64)),
         ];
         let medians = measure_all(&mut routines);
         let med = |label: &str| {
@@ -190,9 +172,6 @@ fn emit_bench_json(_c: &mut Criterion) {
         };
         let adjacency_ms = med("adjacency");
         let csr_binary_ms = med("csr");
-        let fanout_serial_ms = med("fanout_serial");
-        let fanout_ms = med("fanout");
-        let batch_fanout_ms = med("fanout_batched");
         let obj = jsonfmt::JsonObject::new()
             .field("nodes", g.node_count().to_string())
             .field("edges", g.edge_count().to_string())
@@ -200,24 +179,15 @@ fn emit_bench_json(_c: &mut Criterion) {
             .field("adjacency_ms", jsonfmt::fixed(adjacency_ms, 3))
             .field("bit_identical", "true")
             .field("csr_binary_ms", jsonfmt::fixed(csr_binary_ms, 3))
-            .field("batch_fanout_ms", jsonfmt::fixed(batch_fanout_ms, 3))
             // `_speedup` keys are gated *leniently* by scripts/bench_check:
             // they only fail the build when the new path is slower than the
             // baseline beyond the noise floor, so single-core runners can't
-            // flake. `batch_speedup` is lane-batched vs per-source serial.
-            .field("batch_speedup", jsonfmt::fixed(fanout_serial_ms / batch_fanout_ms, 3))
-            .field("fanout_parallel_ms", jsonfmt::fixed(fanout_ms, 3))
-            .field("fanout_serial_ms", jsonfmt::fixed(fanout_serial_ms, 3))
-            .field("fanout_speedup", jsonfmt::fixed(fanout_serial_ms / fanout_ms, 3))
+            // flake.
             .field("speedup_csr_vs_adjacency", jsonfmt::fixed(adjacency_ms / csr_binary_ms, 3));
         println!(
             "bench routing_csr: {name} adjacency {adjacency_ms:.1} ms vs csr \
-             {csr_binary_ms:.1} ms ({:.2}x), fanout {fanout_ms:.1} ms \
-             (serial {fanout_serial_ms:.1} ms, {:.2}x), batched {batch_fanout_ms:.1} ms \
-             ({:.2}x vs serial)",
-            adjacency_ms / csr_binary_ms,
-            fanout_serial_ms / fanout_ms,
-            fanout_serial_ms / batch_fanout_ms
+             {csr_binary_ms:.1} ms ({:.2}x)",
+            adjacency_ms / csr_binary_ms
         );
         fixture_objs.push((name.to_string(), obj.pretty(1)));
     }

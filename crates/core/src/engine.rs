@@ -158,40 +158,15 @@ pub enum AugmentMode {
 }
 
 /// Process-wide default augment mode: 0 = batched, 1 = per-edge.
-/// A plain atomic (not first-set-wins like the queue-kind default) so a
-/// bench can A/B both modes in one process.
+/// A plain re-settable atomic, so a bench or test can A/B both modes in
+/// one process.
 static DEFAULT_AUGMENT_MODE: std::sync::atomic::AtomicU8 = std::sync::atomic::AtomicU8::new(0);
 
 impl AugmentMode {
-    /// Every mode, in vocabulary order.
-    pub const ALL: [AugmentMode; 2] = [AugmentMode::Batched, AugmentMode::PerEdge];
-
-    /// Human-readable list of valid names for error messages.
-    pub const VOCABULARY: &'static str = "`batched`, `per-edge`";
-
-    /// Canonical CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            AugmentMode::Batched => "batched",
-            AugmentMode::PerEdge => "per-edge",
-        }
-    }
-
-    /// Parses a CLI name ([`Self::VOCABULARY`]).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "batched" => Some(AugmentMode::Batched),
-            "per-edge" => Some(AugmentMode::PerEdge),
-            _ => None,
-        }
-    }
-
-    /// Sets the process-wide default mode new engines start in.
-    /// Unlike the queue-kind default this is re-settable: results are
-    /// bit-identical across modes, so flipping it mid-process can never
-    /// invalidate existing state — it only redirects future engines.
+    /// Sets the process-wide default mode new engines start in. It is
+    /// re-settable: results are bit-identical across modes, so flipping
+    /// it mid-process can never invalidate existing state — it only
+    /// redirects future engines.
     pub fn set_process_default(mode: AugmentMode) {
         DEFAULT_AUGMENT_MODE.store(
             matches!(mode, AugmentMode::PerEdge) as u8,
@@ -896,7 +871,7 @@ mod tests {
     #[test]
     fn dual_bracket_contains_the_exact_sum() {
         let (g, sessions) = setup();
-        for mode in AugmentMode::ALL {
+        for mode in [AugmentMode::Batched, AugmentMode::PerEdge] {
             let oracle = FixedIpOracle::new(&g, &sessions);
             let inv_caps: Vec<f64> = g.edge_ids().map(|e| 1.0 / g.capacity(e)).collect();
             let lengths = ScaledLengths::new(&inv_caps, -40.0, 5.0);

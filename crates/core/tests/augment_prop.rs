@@ -10,18 +10,16 @@
 //! factor before a read barrier), and the sweep multiplies each edge by
 //! exactly the factor the pointwise path would have used — so every
 //! artifact must be `to_bits`-identical between the modes, across random
-//! instances, all four solvers, both routing regimes, and serial vs.
-//! multi-threaded execution. These tests fail on the first bit that
-//! moves.
+//! instances, all four solvers and both routing regimes. These tests
+//! fail on the first bit that moves.
 
 use omcf_core::solver::{Instance, RoutingMode, SolverKind, SolverOutcome};
-use omcf_core::{AugmentMode, Engine, LengthGrowth, Parallelism, ScaledLengths};
+use omcf_core::{AugmentMode, Engine, LengthGrowth, ScaledLengths};
 use omcf_numerics::{Rng64, Xoshiro256pp};
 use omcf_overlay::{random_sessions, FixedIpOracle};
-use omcf_routing::WorkspacePool;
 use omcf_topology::{canned, Graph};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Guards the process-wide augment default: proptest cases within one
 /// test run sequentially, but distinct `#[test]` fns in this binary run
@@ -41,9 +39,8 @@ fn random_instance(seed: u64, routing: RoutingMode) -> Instance {
     Instance::new("augment-prop", g, sessions, routing).with_eps(0.5).with_rho(10.0)
 }
 
-fn solve_under(inst: &Instance, kind: SolverKind, policy: Parallelism) -> SolverOutcome {
-    let pool = Arc::new(WorkspacePool::new().with_parallelism(policy));
-    kind.solver().solve(inst, inst.oracle_pooled(&pool).as_ref())
+fn solve(inst: &Instance, kind: SolverKind) -> SolverOutcome {
+    kind.solver().solve(inst, inst.oracle().as_ref())
 }
 
 fn assert_bit_identical(kind: SolverKind, per_edge: &SolverOutcome, batched: &SolverOutcome) {
@@ -67,24 +64,19 @@ fn assert_bit_identical(kind: SolverKind, per_edge: &SolverOutcome, batched: &So
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Every solver, both routing regimes, serial and 4-thread pools:
-    /// flipping the process-wide augment default between the two legs
-    /// changes no artifact bit.
+    /// Every solver, both routing regimes: flipping the process-wide
+    /// augment default between the two legs changes no artifact bit.
     #[test]
     fn augment_mode_bit_invisible_across_solvers(seed in any::<u64>()) {
         let _guard = MODE_LOCK.lock().expect("mode lock");
         for routing in [RoutingMode::FixedIp, RoutingMode::Arbitrary] {
             let inst = random_instance(seed, routing);
             for kind in SolverKind::ALL {
-                let threads4 =
-                    Parallelism::Threads(std::num::NonZeroUsize::new(4).expect("nonzero"));
-                for policy in [Parallelism::Serial, threads4] {
-                    AugmentMode::set_process_default(AugmentMode::PerEdge);
-                    let per_edge = solve_under(&inst, kind, policy);
-                    AugmentMode::set_process_default(AugmentMode::Batched);
-                    let batched = solve_under(&inst, kind, policy);
-                    assert_bit_identical(kind, &per_edge, &batched);
-                }
+                AugmentMode::set_process_default(AugmentMode::PerEdge);
+                let per_edge = solve(&inst, kind);
+                AugmentMode::set_process_default(AugmentMode::Batched);
+                let batched = solve(&inst, kind);
+                assert_bit_identical(kind, &per_edge, &batched);
             }
         }
     }
@@ -150,15 +142,4 @@ fn engine_final_lengths_bit_identical_across_modes() {
             "final load bits diverged"
         );
     }
-}
-
-/// The augment-mode vocabulary round-trips (the `repro --augment` flag
-/// leans on this), and unknown names are rejected.
-#[test]
-fn augment_mode_names_round_trip() {
-    for mode in AugmentMode::ALL {
-        assert_eq!(AugmentMode::parse(mode.name()), Some(mode));
-        assert!(AugmentMode::VOCABULARY.contains(mode.name()));
-    }
-    assert_eq!(AugmentMode::parse("eager"), None);
 }

@@ -2,9 +2,8 @@
 //! workspace.
 //!
 //! Before this module, each consumer had its own ad-hoc knob: the sweep
-//! driver a `parallel: bool`, `fanout_trees` an implicit always-on
-//! parallel path, the `Reoptimizer` another bool. [`Parallelism`] is the
-//! one vocabulary they all accept now:
+//! driver a `parallel: bool`, the `Reoptimizer` another bool.
+//! [`Parallelism`] is the one vocabulary they all accept now:
 //!
 //! * [`Parallelism::Serial`] — run on the calling thread, no pool at
 //!   all. This is the honest baseline benches compare against.

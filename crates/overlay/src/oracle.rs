@@ -959,7 +959,6 @@ mod tests {
         let tr = reference.min_tree_view(0, LengthView::with_epochs(&lengths, &epochs));
         assert_eq!(t2, tr);
         assert_eq!(pool.idle(), 2);
-        assert_eq!(pool.idle_batches(), 0, "the oracle leases no batch engines");
     }
 
     #[test]

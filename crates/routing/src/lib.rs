@@ -17,19 +17,15 @@
 //! pre-allocated, reusable buffer set with generation-stamped O(1)
 //! resets, a multi-target early-exit entry point, and one priority
 //! queue ([`DijkstraHeap`]: a binary heap whose packed `u128` keys order
-//! `(dist, node)` with a single integer compare) — which implements the
-//! [`ShortestPath`] trait, the seam a future alternative engine plugs
-//! into; [`dijkstra()`] is the one-shot convenience wrapper around it.
-//! [`fanout_trees`] batches all of one
-//! session's member trees concurrently over a [`WorkspacePool`] with a
-//! deterministic merge order, and [`reference::dijkstra_adjacency`]
-//! keeps the frozen pre-CSR adjacency-list implementation as the
-//! bit-exactness oracle and bench baseline.
+//! `(dist, node)` with a single integer compare). The oracles hold
+//! workspaces leased from a [`WorkspacePool`], [`FixedRoutes`] runs one
+//! early-exit pass per member, and [`dijkstra()`] is the one-shot
+//! convenience wrapper. [`reference::dijkstra_adjacency`] keeps the
+//! frozen pre-CSR adjacency-list implementation as the bit-exactness
+//! oracle and bench baseline.
 
-pub mod batch;
 pub mod dijkstra;
 pub mod dynamic;
-pub mod fanout;
 pub mod fixed;
 pub mod path;
 pub mod queue;
@@ -37,13 +33,8 @@ pub mod reference;
 pub(crate) mod slots;
 pub mod workspace;
 
-pub use batch::{fan_width, BatchDijkstra, LANE_CHUNK};
 pub use dijkstra::{dijkstra, ShortestPathTree};
-pub use fanout::{
-    fanout_trees, fanout_trees_batched, fanout_trees_batched_with, fanout_trees_serial,
-    fanout_trees_with,
-};
 pub use fixed::FixedRoutes;
 pub use path::Path;
 pub use queue::DijkstraHeap;
-pub use workspace::{DijkstraWorkspace, ShortestPath, WorkspacePool};
+pub use workspace::{DijkstraWorkspace, WorkspacePool};

@@ -8,9 +8,10 @@
 //! inner loop walks the graph's struct-of-arrays
 //! [`CsrGraph`](omcf_topology::CsrGraph) (offsets/heads/edge-ids in
 //! contiguous arrays) through the crate's one priority queue, a binary
-//! heap over packed `(dist, node)` integer keys ([`DijkstraHeap`]); the
-//! workspace implements the [`ShortestPath`] abstraction the oracles and
-//! fan-out drivers consume.
+//! heap over packed `(dist, node)` integer keys ([`DijkstraHeap`]). It is
+//! the crate's one shortest-path engine: the oracles hold it directly,
+//! and [`FixedRoutes`](crate::FixedRoutes) computes its frozen routes
+//! with it.
 //!
 //! Every entry point runs *exactly* the algorithm of the frozen
 //! adjacency-list reference ([`crate::reference::dijkstra_adjacency`]) —
@@ -29,34 +30,9 @@
 use crate::dijkstra::ShortestPathTree;
 use crate::path::Path;
 use crate::queue::DijkstraHeap;
-use crate::slots::{ArcMirror, ArcWeights, EdgeIndexed, NodeSlot, NO_PARENT};
+use crate::slots::{NodeSlot, NO_PARENT};
 use omcf_telemetry::stats;
 use omcf_topology::{Graph, NodeId};
-
-/// Single-source shortest-path engine abstraction — the extension seam
-/// of the routing core. [`DijkstraWorkspace`] is today's only
-/// implementation and the oracles hold it concretely (its inherent
-/// methods are this trait's methods, so switching a call site to
-/// `impl ShortestPath`/`dyn ShortestPath` is a signature change, not a
-/// rewrite); an alternative engine (e.g. a bidirectional or Δ-stepping
-/// variant) implements this trait and inherits the whole bit-exactness
-/// test harness in `tests/prop.rs` as its conformance suite.
-pub trait ShortestPath {
-    /// Number of nodes the engine is sized for.
-    fn node_count(&self) -> usize;
-    /// Full single-source run: settle every reachable node.
-    fn run(&mut self, g: &Graph, src: NodeId, lengths: &[f64]);
-    /// Early-exit run: stop once every node in `targets` is settled.
-    fn run_targets(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]);
-    /// Source of the last run.
-    fn source(&self) -> NodeId;
-    /// Distance from the source to `n` after the last run.
-    fn dist(&self, n: NodeId) -> f64;
-    /// Shortest path to `n` after the last run, `None` if unreached.
-    fn path_to(&self, n: NodeId) -> Option<Path>;
-    /// Owned snapshot of the last (full) run.
-    fn to_tree(&self) -> ShortestPathTree;
-}
 
 /// Pre-allocated single-source shortest-path state, reusable across runs.
 ///
@@ -146,7 +122,7 @@ impl DijkstraWorkspace {
     /// node. Equivalent to [`crate::dijkstra::dijkstra`] with the state
     /// left in the workspace.
     pub fn run(&mut self, g: &Graph, src: NodeId, lengths: &[f64]) {
-        self.run_inner(g, src, lengths, EdgeIndexed(lengths), &[]);
+        self.run_inner(g, src, lengths, &[]);
     }
 
     /// Runs Dijkstra from `src` but stops as soon as every node in
@@ -154,31 +130,10 @@ impl DijkstraWorkspace {
     /// are identical to a full run; unlisted nodes may be left unsettled.
     pub fn run_targets(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]) {
         debug_assert!(!targets.is_empty(), "run_targets needs at least one target");
-        self.run_inner(g, src, lengths, EdgeIndexed(lengths), targets);
+        self.run_inner(g, src, lengths, targets);
     }
 
-    /// Full run reading lengths through a prebuilt arc-ordered mirror
-    /// (`arc_lengths[a] = lengths[arc_edges[a]]`, see
-    /// [`CsrGraph::fill_arc_lengths`](omcf_topology::CsrGraph::fill_arc_lengths)):
-    /// the inner loop streams one contiguous array instead of gathering
-    /// per arc. Results are bit-identical to [`Self::run`] — the same
-    /// values are read, from a different layout. The fan drivers build
-    /// the mirror once per length assignment and amortize it over every
-    /// member run; single-run callers should stay on [`Self::run`], which
-    /// skips the O(arcs) gather.
-    pub(crate) fn run_arcs(&mut self, g: &Graph, src: NodeId, lengths: &[f64], arcs: &[f64]) {
-        debug_assert_eq!(arcs.len(), g.csr().arc_count(), "arc mirror sized for g");
-        self.run_inner(g, src, lengths, ArcMirror(arcs), &[]);
-    }
-
-    fn run_inner<W: ArcWeights>(
-        &mut self,
-        g: &Graph,
-        src: NodeId,
-        lengths: &[f64],
-        weights: W,
-        targets: &[NodeId],
-    ) {
+    fn run_inner(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]) {
         assert_eq!(lengths.len(), g.edge_count(), "length table size mismatch");
         assert_eq!(self.slots.len(), g.node_count(), "workspace sized for a different graph");
         debug_assert!(lengths.iter().all(|l| *l >= 0.0 && l.is_finite()));
@@ -214,7 +169,7 @@ impl DijkstraWorkspace {
         // early exit can leave entries behind; drop them first.
         let mut queue = std::mem::take(&mut self.queue);
         queue.clear();
-        queue.push(0.0, u64::from(src.0));
+        queue.push(0.0, src.0);
         pushes += 1;
         // Hot loop over the struct-of-arrays CSR: per arc, one contiguous
         // read of (edge id, head) instead of the edge-record pointer
@@ -224,9 +179,9 @@ impl DijkstraWorkspace {
         // and therefore results — are bit-identical to the adjacency-list
         // reference (`crate::reference`, pinned by `tests/prop.rs`).
         let csr = g.csr();
-        while let Some((d, payload)) = queue.pop() {
+        while let Some((d, node)) = queue.pop() {
             pops += 1;
-            let u = NodeId(payload as u32);
+            let u = NodeId(node);
             let su = self.slots[u.idx()].state;
             if su >= gen + STATE_DONE {
                 continue;
@@ -240,9 +195,8 @@ impl DijkstraWorkspace {
             }
             let (arc_edges, heads) = csr.arc_slices(u);
             scans += arc_edges.len() as u64;
-            let base = csr.arc_range(u).start;
-            for (k, (&e, &v)) in arc_edges.iter().zip(heads).enumerate() {
-                let nd = d + weights.weight(base + k, e);
+            for (&e, &v) in arc_edges.iter().zip(heads) {
+                let nd = d + lengths[e.idx()];
                 // One slot load answers "already settled?", "is dist
                 // valid?" and the tie-break parent in a single line fill.
                 let slot = &mut self.slots[v.idx()];
@@ -265,7 +219,7 @@ impl DijkstraWorkspace {
                         // on re-touches.
                         slot.state = gen;
                     }
-                    queue.push(nd, u64::from(v.0));
+                    queue.push(nd, v.0);
                     pushes += 1;
                 }
             }
@@ -359,36 +313,6 @@ impl DijkstraWorkspace {
     }
 }
 
-impl ShortestPath for DijkstraWorkspace {
-    fn node_count(&self) -> usize {
-        DijkstraWorkspace::node_count(self)
-    }
-
-    fn run(&mut self, g: &Graph, src: NodeId, lengths: &[f64]) {
-        DijkstraWorkspace::run(self, g, src, lengths);
-    }
-
-    fn run_targets(&mut self, g: &Graph, src: NodeId, lengths: &[f64], targets: &[NodeId]) {
-        DijkstraWorkspace::run_targets(self, g, src, lengths, targets);
-    }
-
-    fn source(&self) -> NodeId {
-        DijkstraWorkspace::source(self)
-    }
-
-    fn dist(&self, n: NodeId) -> f64 {
-        DijkstraWorkspace::dist(self, n)
-    }
-
-    fn path_to(&self, n: NodeId) -> Option<Path> {
-        DijkstraWorkspace::path_to(self, n)
-    }
-
-    fn to_tree(&self) -> ShortestPathTree {
-        DijkstraWorkspace::to_tree(self)
-    }
-}
-
 /// A shared pool of [`DijkstraWorkspace`]s for drivers that run many solver
 /// instances over same-sized graphs (the sweep driver): instead of every
 /// oracle allocating its per-member workspaces from scratch, it leases them
@@ -400,24 +324,9 @@ impl ShortestPath for DijkstraWorkspace {
 /// Workspaces are pooled per node count; a lease for a size the pool has
 /// never seen simply allocates. The pool never shrinks on its own; callers
 /// that finish a sweep drop the pool (or call [`Self::clear`]).
-///
-/// The pool also carries the [`Parallelism`](omcf_numerics::Parallelism)
-/// policy that [`fanout_trees`](crate::fanout_trees) runs under — the pool
-/// is the one object every fan-out call already threads through, so it
-/// doubles as the policy carrier (default:
-/// [`Parallelism::Auto`](omcf_numerics::Parallelism::Auto), which joins
-/// the ambient pool when the fan-out happens inside a parallel sweep
-/// cell).
 #[derive(Debug, Default)]
 pub struct WorkspacePool {
     free: std::sync::Mutex<Vec<DijkstraWorkspace>>,
-    /// Batched multi-source engines, pooled separately (their lane
-    /// storage is K× a single workspace, worth recycling on its own).
-    free_batches: std::sync::Mutex<Vec<crate::batch::BatchDijkstra>>,
-    /// Arc-ordered length mirrors (one `f64` per arc), recycled across
-    /// fan calls so the once-per-fan gather never reallocates.
-    free_mirrors: std::sync::Mutex<Vec<Vec<f64>>>,
-    parallelism: omcf_numerics::Parallelism,
 }
 
 impl WorkspacePool {
@@ -425,19 +334,6 @@ impl WorkspacePool {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the execution policy member fan-outs over this pool use.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: omcf_numerics::Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// The execution policy member fan-outs over this pool use.
-    #[must_use]
-    pub fn parallelism(&self) -> omcf_numerics::Parallelism {
-        self.parallelism
     }
 
     /// Leases a workspace sized for `n` nodes: recycles a pooled one of the
@@ -463,62 +359,15 @@ impl WorkspacePool {
         self.free.lock().expect("workspace pool poisoned").push(ws);
     }
 
-    /// Leases a batched multi-source engine sized for `n` nodes:
-    /// recycles a pooled one of the exact size if available, otherwise
-    /// allocates fresh. Lane storage adapts to each run's source count.
-    #[must_use]
-    pub fn lease_batch(&self, n: usize) -> crate::batch::BatchDijkstra {
-        stats::ROUTING_POOL_LEASES.inc();
-        let mut free = self.free_batches.lock().expect("workspace pool poisoned");
-        if let Some(pos) = free.iter().position(|b| b.node_count() == n) {
-            free.swap_remove(pos)
-        } else {
-            stats::ROUTING_POOL_ALLOCS.inc();
-            crate::batch::BatchDijkstra::new(n)
-        }
-    }
-
-    /// Returns a batched engine to the pool for future leases.
-    pub fn give_back_batch(&self, b: crate::batch::BatchDijkstra) {
-        self.free_batches.lock().expect("workspace pool poisoned").push(b);
-    }
-
-    /// Leases a scratch buffer for an arc-ordered length mirror (any
-    /// capacity; the gather resizes it). Fan drivers fill it via
-    /// [`CsrGraph::fill_arc_lengths`](omcf_topology::CsrGraph::fill_arc_lengths)
-    /// once per length assignment and share it across every member run.
-    #[must_use]
-    pub fn lease_mirror(&self) -> Vec<f64> {
-        stats::ROUTING_POOL_LEASES.inc();
-        let leased = self.free_mirrors.lock().expect("workspace pool poisoned").pop();
-        leased.unwrap_or_else(|| {
-            stats::ROUTING_POOL_ALLOCS.inc();
-            Vec::new()
-        })
-    }
-
-    /// Returns a mirror buffer to the pool for future leases.
-    pub fn give_back_mirror(&self, m: Vec<f64>) {
-        self.free_mirrors.lock().expect("workspace pool poisoned").push(m);
-    }
-
-    /// Number of idle pooled batched engines.
-    #[must_use]
-    pub fn idle_batches(&self) -> usize {
-        self.free_batches.lock().expect("workspace pool poisoned").len()
-    }
-
     /// Number of idle pooled workspaces.
     #[must_use]
     pub fn idle(&self) -> usize {
         self.free.lock().expect("workspace pool poisoned").len()
     }
 
-    /// Drops all pooled workspaces, batched engines and mirror buffers.
+    /// Drops all pooled workspaces.
     pub fn clear(&self) {
         self.free.lock().expect("workspace pool poisoned").clear();
-        self.free_batches.lock().expect("workspace pool poisoned").clear();
-        self.free_mirrors.lock().expect("workspace pool poisoned").clear();
     }
 }
 

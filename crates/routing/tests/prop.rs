@@ -1,12 +1,9 @@
 //! Property-based tests for the routing substrate.
 
-use omcf_numerics::{Parallelism, Rng64, Xoshiro256pp};
+use omcf_numerics::{Rng64, Xoshiro256pp};
 use omcf_routing::dijkstra::{dijkstra, dijkstra_hops};
 use omcf_routing::reference::dijkstra_adjacency;
-use omcf_routing::{
-    fanout_trees, fanout_trees_serial, fanout_trees_with, DijkstraWorkspace, FixedRoutes,
-    WorkspacePool,
-};
+use omcf_routing::{DijkstraWorkspace, FixedRoutes};
 use omcf_topology::waxman::{self, WaxmanParams};
 use omcf_topology::{Graph, NodeId};
 use proptest::prelude::*;
@@ -99,7 +96,9 @@ proptest! {
         prop_assert_eq!(d_ab, d_ba);
     }
 
-    /// Fixed routes are shortest in hops: no shorter path exists.
+    /// Fixed routes are shortest in hops (no shorter path exists), and
+    /// each is exactly the tie-broken hop-count path of the frozen
+    /// adjacency reference.
     #[test]
     fn fixed_routes_are_shortest(seed in any::<u64>(), n in 10usize..40) {
         let g = graph(seed, n);
@@ -107,10 +106,13 @@ proptest! {
         let members: Vec<NodeId> =
             rng.sample_indices(n, 4).into_iter().map(|i| NodeId(i as u32)).collect();
         let routes = FixedRoutes::new(&g, &members);
+        let ones = vec![1.0; g.edge_count()];
         for &a in &members {
             let spt = dijkstra_hops(&g, a);
+            let reference = dijkstra_adjacency(&g, a, &ones);
             for &b in &members {
                 prop_assert_eq!(routes.route(a, b).hops() as f64, spt.dist(b));
+                prop_assert_eq!(Some(routes.route(a, b)), reference.path_to(b).as_ref());
             }
         }
         prop_assert!(routes.max_route_hops() < n);
@@ -207,57 +209,6 @@ proptest! {
                 prop_assert_eq!(ws.path_to(t), reference.path_to(t));
             }
         }
-    }
-
-    /// Parallel member fan-out is byte-identical to the serial loop:
-    /// same trees, same order, at every tested thread count (real worker
-    /// pools with genuine stealing) — and each tree matches the adjacency
-    /// reference bit-for-bit, on every length profile.
-    #[test]
-    fn parallel_fanout_byte_identical_to_serial(seed in any::<u64>(), n in 8usize..40) {
-        let g = graph(seed, n);
-        let mut rng = Xoshiro256pp::new(seed ^ 9);
-        let members: Vec<NodeId> =
-            rng.sample_indices(n, 5.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
-        let pool = WorkspacePool::new();
-        for round in 0..PROFILES {
-            let lengths = random_lengths(&g, &mut rng, round);
-            let par = fanout_trees(&g, &members, &lengths, &pool);
-            let ser = fanout_trees_serial(&g, &members, &lengths, &pool);
-            prop_assert_eq!(&par, &ser, "fan-out merge order diverged (profile {})", round);
-            for threads in [1usize, 2, 4, 8] {
-                let policy =
-                    Parallelism::Threads(std::num::NonZeroUsize::new(threads).expect("nonzero"));
-                let counted = fanout_trees_with(&g, &members, &lengths, &pool, policy);
-                prop_assert_eq!(
-                    &counted, &ser,
-                    "fan-out diverged at {} threads (profile {})", threads, round
-                );
-            }
-            for (i, &src) in members.iter().enumerate() {
-                let reference = dijkstra_adjacency(&g, src, &lengths);
-                for v in g.nodes() {
-                    prop_assert_eq!(par[i].dist(v).to_bits(), reference.dist(v).to_bits());
-                    prop_assert_eq!(par[i].path_to(v), reference.path_to(v));
-                }
-            }
-        }
-    }
-
-    /// Repeated fan-outs at the same thread count are stable: stealing
-    /// order varies run to run, output must not.
-    #[test]
-    fn repeated_fanout_at_same_thread_count_is_stable(seed in any::<u64>(), n in 8usize..32) {
-        let g = graph(seed, n);
-        let mut rng = Xoshiro256pp::new(seed ^ 31);
-        let lengths = random_lengths(&g, &mut rng, 0);
-        let members: Vec<NodeId> =
-            rng.sample_indices(n, 6.min(n)).into_iter().map(|i| NodeId(i as u32)).collect();
-        let policy = Parallelism::Threads(std::num::NonZeroUsize::new(4).expect("nonzero"));
-        let pool = WorkspacePool::new().with_parallelism(policy);
-        let first = fanout_trees(&g, &members, &lengths, &pool);
-        let second = fanout_trees(&g, &members, &lengths, &pool);
-        prop_assert_eq!(&first, &second, "repeated fan-out at 4 threads is unstable");
     }
 
     /// Under uniform lengths scaled by any constant, the chosen routes'

@@ -29,7 +29,7 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 /// A small but subsystem-spanning grid: one fixed-IP and one
 /// dynamic-routing scenario (the latter exercises the Dijkstra workspace
-/// pool and arc mirrors) × all four solvers.
+/// pool) × all four solvers.
 fn micro_cfg(par: Parallelism) -> SweepConfig {
     SweepConfig::full(Scale::Micro, vec![7])
         .with_scenarios(&["ring-lattice", "scenario-a-dynamic"])

@@ -58,7 +58,7 @@ pub static ORACLE_BYPASSED: Counter = Counter::new("oracle.cache.bypassed", Clas
 
 // --- routing (CSR Dijkstra + workspace pool, omcf-routing) ------------
 
-/// Dijkstra runs (single-source workspace runs and batched lanes).
+/// Dijkstra runs.
 pub static ROUTING_DIJKSTRA_RUNS: Counter = Counter::new("routing.dijkstra.runs", Class::Count);
 /// Priority-queue pushes.
 pub static ROUTING_HEAP_PUSHES: Counter = Counter::new("routing.heap.pushes", Class::Count);
@@ -66,16 +66,12 @@ pub static ROUTING_HEAP_PUSHES: Counter = Counter::new("routing.heap.pushes", Cl
 pub static ROUTING_HEAP_POPS: Counter = Counter::new("routing.heap.pops", Class::Count);
 /// Arcs examined by settled-node relaxation scans.
 pub static ROUTING_RELAXATIONS: Counter = Counter::new("routing.relaxations", Class::Count);
-/// Workspace-pool leases (workspaces + batches + mirrors). Lease counts
-/// are schedule-independent; *allocation* counts below are not.
+/// Workspace-pool leases. Lease counts are schedule-independent;
+/// *allocation* counts below are not.
 pub static ROUTING_POOL_LEASES: Counter = Counter::new("routing.pool.leases", Class::Count);
 /// Pool leases that had to allocate because the free list was empty —
 /// depends on thread interleaving, hence Wall class.
 pub static ROUTING_POOL_ALLOCS: Counter = Counter::new("routing.pool.allocs", Class::Wall);
-/// Arc-mirror gathers (`fill_arc_lengths` sweeps feeding batched runs).
-pub static ROUTING_MIRROR_GATHERS: Counter = Counter::new("routing.mirror.gathers", Class::Count);
-/// Arcs copied by those gathers.
-pub static ROUTING_MIRROR_ARCS: Counter = Counter::new("routing.mirror.arcs", Class::Count);
 
 // --- runtime (event loop, omcf-runtime) -------------------------------
 
